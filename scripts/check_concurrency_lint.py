@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Greppable concurrency invariants of the tree (see docs/CONCURRENCY.md).
 
-Seven rules, enforced with nothing but the standard library:
+Eight rules, enforced with nothing but the standard library:
 
   1. no raw `std::thread` under src/ outside the allowlisted files that
      implement the threading substrate itself (ThreadPool) or a
@@ -33,7 +33,14 @@ Seven rules, enforced with nothing but the standard library:
      appear only inside a helper named `*Locked` whose declaration (in
      the same file or its .h/.cc sibling) carries a REQUIRES(...)
      capability annotation.  Frames from concurrent streams interleave
-     on one connection, so an unguarded write tears frames mid-header.
+     on one connection, so an unguarded write tears frames mid-header;
+  8. one sequential read-ahead window: under src/, only
+     core/read_ahead_stream.{h,cc} may declare a class or struct whose
+     name contains `ReadAhead`. Every buffered sequential read (DavPosix
+     at any window depth, the xrootd ablation) runs through
+     core::ReadAheadStream; a second window class is a copy that will
+     drift from it (TreeCache's cluster window is not a byte-stream
+     window and is named accordingly).
 
 Exit status 0 = clean, 1 = violations (listed on stderr).
 """
@@ -77,6 +84,10 @@ DISPATCH_RE = re.compile(r"\b(Submit|ParallelFor|ParallelForCancellable)\s*\(")
 MUX_WRITE_FILES_RE = re.compile(
     r"^src/(muxhttp/|core/mux_transport\.(h|cc)$)")
 WRITE_ALL_RE = re.compile(r"\bWriteAll\s*\(")
+# Rule 8: the one home of the sequential read-ahead window.
+READ_AHEAD_CLASS_RE = re.compile(r"\b(?:class|struct)\s+(\w*ReadAhead\w*)")
+ALLOWED_READ_AHEAD = {"src/core/read_ahead_stream.h",
+                      "src/core/read_ahead_stream.cc"}
 MUTATION_RE = re.compile(
     r"(?:\+\+|--)\s*([A-Za-z_]\w*)\b|\b([A-Za-z_]\w*)\s*(?:\+\+|--|\+=|-=)")
 
@@ -372,6 +383,14 @@ def main() -> int:
                              "REQUIRES(...) annotation on any declaration "
                              "— the write mutex must be a declared "
                              "capability so Clang checks the callers"))
+        if rel not in ALLOWED_READ_AHEAD:
+            for m in READ_AHEAD_CLASS_RE.finditer(text):
+                problems.append(
+                    (rel, line_of(text, m.start()),
+                     f"'{m.group(1)}' declared outside "
+                     "core/read_ahead_stream.{h,cc} — sequential read-ahead "
+                     "has one window; configure core::ReadAheadStream "
+                     "instead of adding another"))
         if rel.startswith("src/core/") and rel not in ALLOWED_CORE_SLEEP:
             for m in BARE_SLEEP_RE.finditer(text):
                 problems.append(

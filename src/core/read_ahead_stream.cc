@@ -10,7 +10,6 @@ ReadAheadStream::ReadAheadStream(ReadAheadFetchFn fetch, ThreadPool* pool,
                                  ReadAheadStreamConfig config)
     : fetch_(std::move(fetch)), pool_(pool), config_(config) {
   if (config_.chunk_bytes == 0) config_.chunk_bytes = 256 * 1024;
-  if (config_.window_chunks == 0) config_.window_chunks = 1;
 }
 
 ReadAheadStream::~ReadAheadStream() { Invalidate(); }
@@ -23,7 +22,7 @@ void ReadAheadStream::Invalidate() {
 }
 
 void ReadAheadStream::TopUp() {
-  while (window_.size() < config_.window_chunks &&
+  while (window_.size() < std::max<size_t>(config_.window_chunks, 1) &&
          window_end_ < config_.file_size) {
     Chunk chunk;
     chunk.offset = window_end_;
@@ -46,6 +45,12 @@ void ReadAheadStream::TopUp() {
         window_.push_back(std::move(chunk));
         continue;
       }
+    }
+    if (config_.window_chunks == 0) {
+      // Synchronous mode: the chunk stays unclaimed and WaitForChunk
+      // fetches it on the consumer thread.
+      window_.push_back(std::move(chunk));
+      continue;
     }
 
     auto state = chunk.state;
@@ -80,8 +85,9 @@ Result<std::string> ReadAheadStream::WaitForChunk(const Chunk& chunk) {
   if (!chunk.state->claimed.exchange(true, std::memory_order_acq_rel)) {
     // The pool task for this chunk has not started — it may be queued
     // behind this very thread if the consumer runs on the dispatcher
-    // pool. Execute the fetch inline instead of blocking on it; the
-    // task, when it eventually runs, sees `claimed` and exits.
+    // pool — or, at window 0, there is no task at all. Execute the fetch
+    // inline instead of blocking on it; a task, when it eventually runs,
+    // sees `claimed` and exits.
     Result<std::string> data = fetch_(chunk.offset, chunk.length);
     MutexLock lock(chunk.state->mu);
     chunk.state->data = std::move(data);
@@ -135,8 +141,9 @@ Result<std::string> ReadAheadStream::Read(uint64_t position, size_t count) {
     want -= take;
     if (position >= front.offset + front.length) {
       // Chunk fully consumed; pop and immediately keep the pipe full.
+      // At window 0 the next chunk waits until the cursor reaches it.
       window_.pop_front();
-      TopUp();
+      if (config_.window_chunks > 0) TopUp();
     } else {
       // Partially consumed front: restore its payload for the next Read.
       // The fetch task finished (done is true), so the lock is

@@ -18,10 +18,12 @@ namespace core {
 /// Fetches `length` bytes at `offset` of the underlying object. Runs on
 /// a dispatcher thread, concurrently with its sibling chunk fetches, so
 /// it must be safe to call from several threads at once (DavFile's read
-/// entry points are). The function object is copied into every scheduled
-/// task: anything it needs alive (the DavFile, the request params) must
-/// be owned by value or by shared_ptr, never by reference to state that
-/// a Close can destroy while a fetch is still in flight.
+/// entry points are, and so is XrdClient::Read, which multiplexes the
+/// concurrent calls over its one connection). The function object is
+/// copied into every scheduled task: anything it needs alive (the
+/// DavFile, the request params) must be owned by value or by shared_ptr,
+/// never by reference to state that a Close can destroy while a fetch is
+/// still in flight.
 using ReadAheadFetchFn =
     std::function<Result<std::string>(uint64_t offset, uint64_t length)>;
 
@@ -34,13 +36,15 @@ using ReadAheadFetchFn =
 using ReadAheadProbeFn =
     std::function<bool(uint64_t offset, uint64_t length, std::string* out)>;
 
-/// Shape of the asynchronous sliding window.
+/// Shape of the sliding window.
 struct ReadAheadStreamConfig {
-  /// Bytes fetched per asynchronous range-GET.
+  /// Bytes fetched per chunk request.
   uint64_t chunk_bytes = 256 * 1024;
-  /// Chunks kept in flight ahead of the consumer (minimum 1). This is
-  /// also the bound of the delivery queue: at most this many fetched-
-  /// but-unconsumed chunks are buffered.
+  /// Chunks kept in flight ahead of the consumer. This is also the bound
+  /// of the delivery queue: at most this many fetched-but-unconsumed
+  /// chunks are buffered. 0 is the synchronous mode: one chunk at a
+  /// time, fetched on the consumer thread only when the cursor reaches
+  /// it, nothing fetched ahead and nothing submitted to the pool.
   size_t window_chunks = 4;
   /// Total object size; reads and the window are clamped to it.
   uint64_t file_size = 0;
@@ -51,9 +55,12 @@ struct ReadAheadStreamConfig {
   ReadAheadProbeFn probe;
 };
 
-/// Asynchronous sliding-window read-ahead for sequential reads — the
-/// davix-side counterpart of the "sliding windows buffering algorithm"
-/// §3 of the paper credits for XRootD's WAN advantage.
+/// Sliding-window read-ahead for sequential reads — the "sliding windows
+/// buffering algorithm" §3 of the paper credits for XRootD's WAN
+/// advantage. It is the one byte-stream window of the tree: DavPosix's
+/// buffered reads (synchronous at window 0, asynchronous above) and the
+/// xrootd side of the E7 ablation (fetching through XrdClient::Read)
+/// both run through it.
 ///
 /// Up to `window_chunks` range-GETs are kept in flight ahead of the
 /// consumer's position, each scheduled on the shared per-Context
@@ -79,8 +86,9 @@ struct ReadAheadStreamConfig {
 /// dispatcher threads.
 class ReadAheadStream {
  public:
-  /// `pool` must outlive the stream. `fetch` is copied into scheduled
-  /// tasks and may outlive the stream itself (see ReadAheadFetchFn).
+  /// `pool` must outlive the stream; it is never used at window 0. `fetch`
+  /// is copied into scheduled tasks and may outlive the stream itself
+  /// (see ReadAheadFetchFn).
   ReadAheadStream(ReadAheadFetchFn fetch, ThreadPool* pool,
                   ReadAheadStreamConfig config);
 
@@ -142,7 +150,9 @@ class ReadAheadStream {
     std::shared_ptr<ChunkState> state;
   };
 
-  /// Schedules fetches until the window is full or EOF is covered.
+  /// Schedules fetches until the window is full or EOF is covered. At
+  /// window 0 it only appends one unclaimed chunk, which WaitForChunk
+  /// then fetches inline.
   void TopUp();
 
   /// Blocks until `chunk`'s fetch completes and moves out its payload.

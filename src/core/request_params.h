@@ -205,16 +205,16 @@ struct RequestParams {
   /// Sequential read-ahead for DavPosix::Read (0 = none). Kept off by
   /// default: the paper's davix relies on vectored reads instead of the
   /// sliding-window buffering XRootD uses; turning this on is the E7
-  /// ablation. With `readahead_window_chunks` == 0 this is one
-  /// synchronous buffer of `readahead_bytes`; otherwise it is the chunk
-  /// size of the asynchronous sliding window.
+  /// ablation. This is the chunk size of the descriptor's
+  /// core::ReadAheadStream; `readahead_window_chunks` sets its depth.
   uint64_t readahead_bytes = 0;
-  /// Asynchronous sliding-window depth for DavPosix::Read: up to this
-  /// many `readahead_bytes`-sized range-GETs are kept in flight ahead of
-  /// the consumer, each on its own pooled session, dispatched on the
+  /// Sliding-window depth for DavPosix::Read: up to this many
+  /// `readahead_bytes`-sized range-GETs are kept in flight ahead of the
+  /// consumer, each on its own pooled session, dispatched on the
   /// per-Context pool — the XRootD-style window that hides per-chunk
-  /// round trips on high-RTT paths. 0 (default) keeps the synchronous
-  /// single-buffer behaviour. Ignored while `readahead_bytes` == 0.
+  /// round trips on high-RTT paths. 0 (default) is the synchronous mode:
+  /// one chunk fetched on the reading thread when the cursor reaches it,
+  /// nothing fetched ahead. Ignored while `readahead_bytes` == 0.
   size_t readahead_window_chunks = 0;
   std::string user_agent = "libdavix-repro/1.0";
 

@@ -116,6 +116,7 @@ TEST_F(DavPosixTest, ReadAheadServesFromBuffer) {
   EXPECT_EQ(assembled, content_.substr(0, 32 * 1024));
   // One read-ahead fetch instead of 32 individual GETs.
   EXPECT_EQ(context_->SnapshotCounters().requests, 1u);
+  EXPECT_FALSE(context_->dispatcher_started());
 }
 
 TEST_F(DavPosixTest, ReadAheadStraddleServesBufferedPrefix) {

@@ -274,6 +274,46 @@ TEST(ReadAheadStreamTest, NullPoolDegradesToSynchronousFetches) {
   EXPECT_EQ(assembled, object.content);
 }
 
+TEST(ReadAheadStreamTest, ZeroWindowFetchesEachChunkInlineWhenCursorEntersIt) {
+  // Window 0 is the synchronous mode: one chunk at a time, fetched on
+  // the consumer thread only once the cursor reaches it; the pool never
+  // sees a task.
+  constexpr uint64_t kChunk = 4096;
+  FakeObject object(40'000);
+  object.jitter_micros = 0;
+  ThreadPool pool(2);
+  const std::thread::id consumer = std::this_thread::get_id();
+  std::atomic<int> off_consumer{0};
+  std::vector<uint64_t> offsets;  // appended on the consumer thread only
+  ReadAheadFetchFn inner = object.Fetcher();
+  ReadAheadStream stream(
+      [&](uint64_t offset, uint64_t length) {
+        if (std::this_thread::get_id() != consumer) {
+          off_consumer.fetch_add(1);
+        } else {
+          offsets.push_back(offset);
+        }
+        return inner(offset, length);
+      },
+      &pool, Config(kChunk, 0, object.content.size()));
+  std::string assembled;
+  while (true) {
+    ASSERT_OK_AND_ASSIGN(std::string data, stream.Read(assembled.size(), 700));
+    if (data.empty()) break;
+    assembled += data;
+    // Exactly the chunks the cursor has entered are fetched, no more.
+    EXPECT_EQ(static_cast<uint64_t>(object.fetches.load()),
+              (assembled.size() + kChunk - 1) / kChunk);
+  }
+  EXPECT_EQ(assembled, object.content);
+  const uint64_t chunks = (object.content.size() + kChunk - 1) / kChunk;
+  EXPECT_EQ(static_cast<uint64_t>(object.fetches.load()), chunks);
+  ASSERT_EQ(offsets.size(), chunks);
+  for (uint64_t i = 0; i < chunks; ++i) EXPECT_EQ(offsets[i], i * kChunk);
+  EXPECT_EQ(off_consumer.load(), 0);
+  EXPECT_EQ(pool.tasks_submitted(), 0u);
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace davix

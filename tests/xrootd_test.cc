@@ -1,11 +1,14 @@
+#include <algorithm>
+#include <chrono>
 #include <future>
 #include <thread>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/read_ahead_stream.h"
 #include "httpd/object_store.h"
 #include "test_util.h"
 #include "xrootd/frame.h"
-#include "xrootd/readahead.h"
 #include "xrootd/xrd_client.h"
 #include "xrootd/xrd_server.h"
 
@@ -198,17 +201,41 @@ TEST_F(XrdTest, EmptyObjectReads) {
 
 // -------------------------------------------------------------- readahead
 
-class ReadAheadTest : public XrdTest {};
+// The xrootd side of the E7 ablation runs through the one sequential
+// window, core::ReadAheadStream: each chunk is a plain XrdClient::Read on
+// a small local pool, and the client multiplexes those W concurrent
+// calls over its single connection.
+class ReadAheadTest : public XrdTest {
+ protected:
+  std::unique_ptr<core::ReadAheadStream> Stream(const OpenInfo& info,
+                                                uint64_t chunk_bytes,
+                                                size_t window_chunks) {
+    pool_ = std::make_unique<ThreadPool>(std::max<size_t>(window_chunks, 1));
+    core::ReadAheadStreamConfig config;
+    config.chunk_bytes = chunk_bytes;
+    config.window_chunks = window_chunks;
+    config.file_size = info.size;
+    XrdClient* client = client_.get();
+    uint32_t handle = info.handle;
+    return std::make_unique<core::ReadAheadStream>(
+        [client, handle](uint64_t offset, uint64_t length) {
+          return client->Read(handle, offset, static_cast<uint32_t>(length));
+        },
+        pool_.get(), config);
+  }
+
+  /// Declared after the XrdTest members, so destroyed (joined) before
+  /// the client its fetches call into.
+  std::unique_ptr<ThreadPool> pool_;
+};
 
 TEST_F(ReadAheadTest, SequentialReadMatchesContent) {
   ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
-  ReadAheadConfig config;
-  config.chunk_bytes = 8192;
-  config.window_chunks = 4;
-  XrdReadAheadStream stream(client_.get(), info.handle, info.size, config);
+  auto stream = Stream(info, 8192, 4);
   std::string assembled;
   while (true) {
-    ASSERT_OK_AND_ASSIGN(std::string chunk, stream.Read(3000));
+    ASSERT_OK_AND_ASSIGN(std::string chunk,
+                         stream->Read(assembled.size(), 3000));
     if (chunk.empty()) break;
     assembled += chunk;
   }
@@ -217,12 +244,14 @@ TEST_F(ReadAheadTest, SequentialReadMatchesContent) {
 
 TEST_F(ReadAheadTest, WindowKeepsMultipleRequestsInFlight) {
   ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
-  ReadAheadConfig config;
-  config.chunk_bytes = 4096;
-  config.window_chunks = 8;
-  XrdReadAheadStream stream(client_.get(), info.handle, info.size, config);
-  ASSERT_OK_AND_ASSIGN(std::string first, stream.Read(100));
+  auto stream = Stream(info, 4096, 8);
+  ASSERT_OK_AND_ASSIGN(std::string first, stream->Read(0, 100));
   EXPECT_EQ(first, content_.substr(0, 100));
+  // The chunk fetches run on the pool: let them all leave before
+  // counting what went on the wire.
+  while (pool_->backlog() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // After the first read, the window should have prefetched well beyond
   // the consumed 100 bytes: at least window worth of read requests sent.
   EXPECT_GE(client_->requests_sent(), 8u);
@@ -230,15 +259,10 @@ TEST_F(ReadAheadTest, WindowKeepsMultipleRequestsInFlight) {
 
 TEST_F(ReadAheadTest, SeekDiscardsWindowButStaysCorrect) {
   ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
-  ReadAheadConfig config;
-  config.chunk_bytes = 8192;
-  config.window_chunks = 4;
-  XrdReadAheadStream stream(client_.get(), info.handle, info.size, config);
-  ASSERT_OK_AND_ASSIGN(std::string a, stream.Read(500));
-  stream.Seek(300'000);
-  ASSERT_OK_AND_ASSIGN(std::string b, stream.Read(500));
-  stream.Seek(10);
-  ASSERT_OK_AND_ASSIGN(std::string c, stream.Read(500));
+  auto stream = Stream(info, 8192, 4);
+  ASSERT_OK_AND_ASSIGN(std::string a, stream->Read(0, 500));
+  ASSERT_OK_AND_ASSIGN(std::string b, stream->Read(300'000, 500));
+  ASSERT_OK_AND_ASSIGN(std::string c, stream->Read(10, 500));
   EXPECT_EQ(a, content_.substr(0, 500));
   EXPECT_EQ(b, content_.substr(300'000, 500));
   EXPECT_EQ(c, content_.substr(10, 500));
@@ -246,22 +270,33 @@ TEST_F(ReadAheadTest, SeekDiscardsWindowButStaysCorrect) {
 
 TEST_F(ReadAheadTest, ZeroWindowIsSynchronous) {
   ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
-  ReadAheadConfig config;
-  config.chunk_bytes = 65536;
-  config.window_chunks = 0;
-  XrdReadAheadStream stream(client_.get(), info.handle, info.size, config);
-  ASSERT_OK_AND_ASSIGN(std::string data, stream.Read(1000));
+  auto stream = Stream(info, 65536, 0);
+  ASSERT_OK_AND_ASSIGN(std::string data, stream->Read(0, 1000));
   EXPECT_EQ(data, content_.substr(0, 1000));
 }
 
 TEST_F(ReadAheadTest, ReadAcrossChunkBoundaries) {
   ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
-  ReadAheadConfig config;
-  config.chunk_bytes = 1000;  // force many boundaries
-  config.window_chunks = 2;
-  XrdReadAheadStream stream(client_.get(), info.handle, info.size, config);
-  ASSERT_OK_AND_ASSIGN(std::string data, stream.Read(9990));
+  auto stream = Stream(info, 1000, 2);  // force many boundaries
+  ASSERT_OK_AND_ASSIGN(std::string data, stream->Read(0, 9990));
   EXPECT_EQ(data, content_.substr(0, 9990));
+}
+
+TEST_F(ReadAheadTest, ServerStopMidScanFailsEveryLaterReadWithoutThrowing) {
+  // Every Read after the first failure must fail cleanly and re-seed,
+  // never trip over the consumed state of the chunk that failed.
+  ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
+  auto stream = Stream(info, 8192, 4);
+  ASSERT_OK_AND_ASSIGN(std::string head, stream->Read(0, 1000));
+  EXPECT_EQ(head, content_.substr(0, 1000));
+  server_->Stop();
+  // Each read reaches past the prefetched window, onto the dead
+  // connection; the cursor stays put because none of them succeeds.
+  for (int i = 0; i < 3; ++i) {
+    Result<std::string> data{std::string()};
+    EXPECT_NO_THROW(data = stream->Read(1000, 64 * 1024)) << "read " << i;
+    EXPECT_FALSE(data.ok()) << "read " << i;
+  }
 }
 
 }  // namespace
