@@ -10,7 +10,10 @@
 #include "http/header_map.h"
 #include "http/message.h"
 #include "http/multipart.h"
+#include "http/parser.h"
 #include "http/range.h"
+#include "net/buffered_reader.h"
+#include "net/byte_source.h"
 
 namespace davix {
 namespace {
@@ -123,6 +126,36 @@ void BM_MultipartParse(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0) * 8192);
 }
 BENCHMARK(BM_MultipartParse)->Arg(8)->Arg(64);
+
+void BM_ResponseBodyReceive(benchmark::State& state) {
+  // One 8 MiB Content-Length response through the client's receive path:
+  // the head parse, the buffered body prefix, then reads straight into
+  // the body. Only building the in-memory source is left untimed.
+  constexpr size_t kBody = 8u << 20;
+  Rng rng(3);
+  const std::string wire = "HTTP/1.1 200 OK\r\nContent-Length: " +
+                           std::to_string(kBody) + "\r\n\r\n" +
+                           rng.Bytes(kBody);
+  for (auto _ : state) {
+    state.PauseTiming();
+    net::StringSource source(wire);
+    state.ResumeTiming();
+    net::BufferedReader reader(&source);
+    Result<http::HttpResponse> response =
+        http::MessageReader::ReadResponseHead(&reader);
+    if (!response.ok() ||
+        !http::MessageReader::ReadResponseBody(&reader, false, &*response)
+             .ok() ||
+        response->body.size() != kBody) {
+      state.SkipWithError("response body receive failed");
+      break;
+    }
+    benchmark::DoNotOptimize(response->body.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * kBody));
+}
+BENCHMARK(BM_ResponseBodyReceive);
 
 }  // namespace
 }  // namespace davix

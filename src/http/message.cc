@@ -171,8 +171,8 @@ std::string HttpResponse::SerializeHead(size_t body_size) const {
 }
 
 std::string HttpResponse::Serialize() const {
-  std::string out = SerializeHead(body.size());
-  out += body;
+  std::string out = SerializeHead(Body().size());
+  out += Body();
   return out;
 }
 

@@ -2,8 +2,10 @@
 #define DAVIX_HTTP_MESSAGE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/status.h"
 #include "http/header_map.h"
@@ -62,12 +64,34 @@ struct HttpRequest {
 };
 
 /// An HTTP/1.1 response.
+///
+/// The payload lives in one of two places. `body` owns its bytes; that
+/// is what parsers fill and what most handlers write. A handler serving
+/// immutable shared bytes (a stored object) instead calls SetBodySlice,
+/// and servers then send the slice without ever copying the payload.
 struct HttpResponse {
   int status_code = 200;
   std::string reason;
   std::string version = "HTTP/1.1";
   HeaderMap headers;
   std::string body;
+  /// Zero-copy body: when set, the payload is `body_slice`, a view into
+  /// memory this owner keeps alive, and `body` is unused.
+  std::shared_ptr<const void> body_owner;
+  std::string_view body_slice;
+
+  /// The payload, whichever member holds it.
+  std::string_view Body() const {
+    return body_owner != nullptr ? body_slice : std::string_view(body);
+  }
+
+  /// Serves `slice`, which must point into memory `owner` keeps alive.
+  void SetBodySlice(std::shared_ptr<const void> owner,
+                    std::string_view slice) {
+    body.clear();
+    body_owner = std::move(owner);
+    body_slice = slice;
+  }
 
   /// True if, per RFC 7230 §6.3 and our headers, the connection can be
   /// reused for another response after this one.
@@ -79,6 +103,7 @@ struct HttpResponse {
   /// as a HEADERS frame and stream the body as separate DATA frames.
   std::string SerializeHead(size_t body_size) const;
 
+  /// Head plus a copy of Body(): for small responses and tests.
   std::string Serialize() const;
 };
 

@@ -112,7 +112,7 @@ Status MessageReader::ReadRequestBody(net::BufferedReader* reader,
   if (*length > kMaxBodyBytes) {
     return Status::ProtocolError("request body too large");
   }
-  return reader->ReadExact(&request->body, *length);
+  return reader->ReadBody(&request->body, *length);
 }
 
 Result<HttpResponse> MessageReader::ReadResponseHead(
@@ -160,7 +160,7 @@ Status MessageReader::ReadResponseBody(net::BufferedReader* reader,
     if (*length > kMaxBodyBytes) {
       return Status::ProtocolError("response body too large");
     }
-    return reader->ReadExact(&response->body, *length);
+    return reader->ReadBody(&response->body, *length);
   }
   // No framing: body is delimited by connection close (HTTP/1.0 style).
   return reader->ReadToEof(&response->body);

@@ -13,8 +13,11 @@ namespace httpd {
 namespace {
 
 /// Offset just past the header terminator ("\r\n\r\n", tolerating bare
-/// "\n\n" like the line parser does), or npos if not yet buffered.
-size_t FindHeaderEnd(std::string_view buf) {
+/// "\n\n" like the line parser does), or npos if it does not end within
+/// the first `max_head_bytes`. The bound keeps each poll's scan from
+/// running over a large buffered body: any longer head is a 431 anyway.
+size_t FindHeaderEnd(std::string_view buf, size_t max_head_bytes) {
+  buf = buf.substr(0, max_head_bytes);
   size_t crlf = buf.find("\r\n\r\n");
   size_t lf = buf.find("\n\n");
   size_t end = std::string_view::npos;
@@ -34,8 +37,11 @@ uint64_t ChunkFramingSlack(uint64_t max_body_bytes) {
 
 AssembleOutcome RequestAssembler::Poll(std::string* buf,
                                        http::HttpRequest* out,
-                                       size_t* wire_bytes,
-                                       bool* head_done) const {
+                                       size_t* wire_bytes, bool* head_done) {
+  if (body_pending_) {
+    *head_done = true;
+    return TakeBody(buf, out, wire_bytes);
+  }
   *head_done = false;
   if (buf->empty()) return AssembleOutcome::kNeedMore;
 
@@ -50,8 +56,10 @@ AssembleOutcome RequestAssembler::Poll(std::string* buf,
     return AssembleOutcome::kHeaderTooLarge;
   }
 
-  // Header-block bound, enforced on raw bytes before parsing.
-  size_t head_end = FindHeaderEnd(*buf);
+  // Header-block bound, enforced on raw bytes before parsing. The
+  // terminator may end up to 4 bytes past the limit and still leave a
+  // head of max_header_bytes.
+  size_t head_end = FindHeaderEnd(*buf, limits_.max_header_bytes + 4);
   if (head_end == std::string::npos) {
     return buf->size() > limits_.max_header_bytes
                ? AssembleOutcome::kHeaderTooLarge
@@ -98,17 +106,35 @@ AssembleOutcome RequestAssembler::Poll(std::string* buf,
     if (!content_length || *content_length > limits_.max_body_bytes) {
       return AssembleOutcome::kBodyTooLarge;
     }
-    if (buf->size() - head_end < *content_length) {
-      return AssembleOutcome::kNeedMore;
-    }
-    request.body = buf->substr(head_end, *content_length);
-    *wire_bytes = head_end + static_cast<size_t>(*content_length);
+    buf->erase(0, head_end);
+    request.body.reserve(static_cast<size_t>(std::min<uint64_t>(
+        *content_length, net::BufferedReader::kMaxBodyReserveBytes)));
+    pending_ = std::move(request);
+    body_pending_ = true;
+    pending_length_ = *content_length;
+    pending_head_bytes_ = head_end;
+    return TakeBody(buf, out, wire_bytes);
   } else {
     *wire_bytes = head_end;
   }
 
   buf->erase(0, *wire_bytes);
   *out = std::move(request);
+  return AssembleOutcome::kReady;
+}
+
+AssembleOutcome RequestAssembler::TakeBody(std::string* buf,
+                                           http::HttpRequest* out,
+                                           size_t* wire_bytes) {
+  std::string& body = pending_.body;
+  size_t take = static_cast<size_t>(
+      std::min<uint64_t>(buf->size(), pending_length_ - body.size()));
+  body.append(*buf, 0, take);
+  buf->erase(0, take);
+  if (body.size() < pending_length_) return AssembleOutcome::kNeedMore;
+  *wire_bytes = pending_head_bytes_ + body.size();
+  *out = std::move(pending_);
+  body_pending_ = false;
   return AssembleOutcome::kReady;
 }
 

@@ -3,7 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "http/message.h"
 #include "net/tcp_socket.h"
@@ -43,11 +46,16 @@ enum class AssembleOutcome {
 /// Incremental HTTP/1.1 request assembler for non-blocking reads.
 ///
 /// The reactor appends whatever recv() produced to a connection's input
-/// buffer and calls Poll(); the assembler re-scans the buffered prefix
-/// and either consumes one complete request or reports why it cannot.
-/// It holds no state between calls, so abandoning a connection mid-parse
-/// needs no cleanup, and request-size limits (the 431/413 contract) are
-/// enforced on the buffered bytes before anything is parsed.
+/// buffer and calls Poll(); the assembler either consumes one complete
+/// request or reports why it cannot. Request-size limits (the 431/413
+/// contract) are enforced on the buffered bytes before anything is
+/// parsed. Once a head declaring a Content-Length parses, the assembler
+/// keeps it and moves body bytes out of the input buffer as they arrive
+/// into a body sized once from the declared length (capped by
+/// net::BufferedReader::kMaxBodyReserveBytes), so a large PUT is neither
+/// re-scanned nor re-copied on every read. That body becomes the
+/// request's body without another copy. Chunked bodies are re-parsed
+/// from the buffered bytes on each call.
 class RequestAssembler {
  public:
   /// Request-size bounds; see ServerConfig for the knobs behind them.
@@ -60,15 +68,26 @@ class RequestAssembler {
   explicit RequestAssembler(Limits limits) : limits_(limits) {}
 
   /// Attempts to assemble one request from the front of `buf`. On
-  /// kReady the request's bytes are erased from `buf`, `out` holds the
+  /// kReady the request's bytes are gone from `buf`, `out` holds the
   /// parsed request and `wire_bytes` its on-the-wire size. `head_done`
   /// reports whether the header block is already complete — the signal
   /// that separates a header-read timeout from a body-read stall.
   AssembleOutcome Poll(std::string* buf, http::HttpRequest* out,
-                       size_t* wire_bytes, bool* head_done) const;
+                       size_t* wire_bytes, bool* head_done);
 
  private:
+  /// Moves the pending request's body bytes from the front of `buf`;
+  /// kReady (with the request in `out`) once the body is complete.
+  AssembleOutcome TakeBody(std::string* buf, http::HttpRequest* out,
+                           size_t* wire_bytes);
+
   Limits limits_;
+  /// Whether `pending_` holds a request whose head has been parsed and
+  /// consumed while its Content-Length body is still arriving.
+  bool body_pending_ = false;
+  http::HttpRequest pending_;
+  uint64_t pending_length_ = 0;
+  size_t pending_head_bytes_ = 0;
 };
 
 /// Per-connection state owned exclusively by the server's reactor
@@ -97,11 +116,29 @@ struct ServerConnection {
   /// Wire size of the request currently dispatched (shaping input).
   int64_t request_bytes = 0;
 
-  /// Output side. `out_eligible` trails `out.size()` only while an
-  /// injected slow-body fault trickles the payload out.
-  std::string out;
+  /// Output side: the serialized head, then the body — a view into
+  /// memory `out_owner` keeps alive (a stored object's bytes, or an
+  /// owned string) — gather-written as one byte stream of out_size()
+  /// bytes. `out_pos` and `out_eligible` index that stream;
+  /// `out_eligible` trails out_size() only while an injected slow-body
+  /// fault trickles the payload out.
+  std::string out_head;
+  std::shared_ptr<const void> out_owner;
+  std::string_view out_body;
   size_t out_pos = 0;
   size_t out_eligible = 0;
+  size_t out_size() const { return out_head.size() + out_body.size(); }
+
+  /// Replaces the output with `head` then `body` (kept alive by `owner`)
+  /// and rewinds it, every byte eligible.
+  void SetOutput(std::string head, std::shared_ptr<const void> owner = nullptr,
+                 std::string_view body = {}) {
+    out_head = std::move(head);
+    out_owner = std::move(owner);
+    out_body = body;
+    out_pos = 0;
+    out_eligible = out_size();
+  }
   bool close_after_write = false;
   /// Half-close and hold after the response instead of a hard close.
   bool linger_after_write = false;

@@ -122,7 +122,7 @@ void DavHandler::DoGet(const http::HttpRequest& request,
       // which is standards-compliant (Range is a SHOULD).
       response->status_code = 200;
       response->headers.Set("Content-Type", "application/octet-stream");
-      response->body = obj.data;
+      response->SetBodySlice(*object, obj.data);
       stats_.bytes_served.fetch_add(size, std::memory_order_relaxed);
       return;
     }
@@ -140,7 +140,8 @@ void DavHandler::DoGet(const http::HttpRequest& request,
       response->headers.Set("Content-Type", "application/octet-stream");
       response->headers.Set("Content-Range",
                             http::FormatContentRange(r, size));
-      response->body = obj.data.substr(r.offset, r.length);
+      response->SetBodySlice(
+          *object, std::string_view(obj.data).substr(r.offset, r.length));
       stats_.bytes_served.fetch_add(r.length, std::memory_order_relaxed);
       return;
     }
@@ -170,7 +171,9 @@ void DavHandler::DoGet(const http::HttpRequest& request,
   response->headers.Set("Content-Type", "application/octet-stream");
   response->headers.Set("Content-Length", std::to_string(size));
   if (!head_only) {
-    response->body = obj.data;
+    // The object is immutable: serve a refcounted view of it, which the
+    // server writes straight from the store's memory.
+    response->SetBodySlice(*object, obj.data);
     stats_.bytes_served.fetch_add(size, std::memory_order_relaxed);
   }
 }

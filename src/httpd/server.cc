@@ -111,7 +111,7 @@ int64_t HttpServer::ConnDeadline(const ServerConnection* conn) const {
       break;
     case ConnState::kWriting:
       consider(conn->write_ready_at);
-      if (conn->trickle_step > 0 && conn->out_eligible < conn->out.size()) {
+      if (conn->trickle_step > 0 && conn->out_eligible < conn->out_size()) {
         consider(conn->next_trickle_at);
       }
       if (conn->write_progress_at > 0) {
@@ -374,9 +374,7 @@ void HttpServer::OnRequest(ServerConnection* conn, http::HttpRequest request,
     // A partial status line + truncated header, then a hard close. The
     // client has consumed bytes, so the exchange is not replayable on a
     // recycled session: it must spend a real retry.
-    conn->out = "HTTP/1.1 200 OK\r\nContent-Le";
-    conn->out_pos = 0;
-    conn->out_eligible = conn->out.size();
+    conn->SetOutput("HTTP/1.1 200 OK\r\nContent-Le");
     conn->close_after_write = true;
     conn->linger_after_write = false;
     conn->counts_completed = false;
@@ -472,21 +470,31 @@ HttpServer::Completion HttpServer::BuildResponse(uint64_t conn_id,
     // HEAD responses advertise the entity length but carry no body.
     if (!response.headers.Has("Content-Length")) {
       response.headers.Set("Content-Length",
-                           std::to_string(response.body.size()));
+                           std::to_string(response.Body().size()));
     }
     response.body.clear();
+    response.body_owner.reset();
   }
 
   Completion done;
   done.conn_id = conn_id;
-  done.body_size = response.body.size();
   done.keep_alive = keep_alive;
   done.fault = fault.action;
   done.body_rate = fault.body_bytes_per_sec;
-  done.wire = response.Serialize();
+  done.head = response.SerializeHead(response.Body().size());
+  if (response.body_owner != nullptr) {
+    // A slice of a stored object: the payload is never copied.
+    done.body_owner = std::move(response.body_owner);
+    done.body = response.body_slice;
+  } else if (!response.body.empty()) {
+    auto owned = std::make_shared<const std::string>(std::move(response.body));
+    done.body = *owned;
+    done.body_owner = std::move(owned);
+  }
   if (fault.action == netsim::FaultAction::kTruncateBody &&
-      !response.body.empty()) {
-    done.wire.resize(done.wire.size() - response.body.size() / 2 - 1);
+      !done.body.empty()) {
+    // The head still declares the full length; the tail never comes.
+    done.body.remove_suffix(done.body.size() / 2 + 1);
   }
   return done;
 }
@@ -509,8 +517,8 @@ void HttpServer::DrainCompletions(int64_t now) {
 
 void HttpServer::StartResponse(ServerConnection* conn, Completion completion,
                                int64_t now) {
-  conn->out = std::move(completion.wire);
-  conn->out_pos = 0;
+  conn->SetOutput(std::move(completion.head),
+                  std::move(completion.body_owner), completion.body);
   conn->close_after_write = !completion.keep_alive;
   conn->linger_after_write = true;
   conn->counts_completed = true;
@@ -518,7 +526,7 @@ void HttpServer::StartResponse(ServerConnection* conn, Completion completion,
   // Shaping becomes a timer: the exchange's modelled delay is the
   // instant the first response byte may hit the socket.
   int64_t ready = conn->shaper.ScheduleResponse(
-      now, conn->request_bytes, static_cast<int64_t>(conn->out.size()));
+      now, conn->request_bytes, static_cast<int64_t>(conn->out_size()));
   conn->write_ready_at = ready > now ? ready : 0;
   conn->write_progress_at = ready > now ? 0 : now;
 
@@ -526,18 +534,17 @@ void HttpServer::StartResponse(ServerConnection* conn, Completion completion,
     // Slow loris: the header block goes out at full speed (the client
     // commits to this response), then the body trickles at the rule's
     // rate until done. Closes afterwards.
-    size_t head_size = conn->out.size() - completion.body_size;
+    size_t head_size = conn->out_head.size();
     int64_t rate = completion.body_rate > 0 ? completion.body_rate : 1;
     conn->trickle_step =
         static_cast<size_t>(std::max<int64_t>(1, rate / 20));
     conn->out_eligible =
-        std::min(conn->out.size(), head_size + conn->trickle_step);
+        std::min(conn->out_size(), head_size + conn->trickle_step);
     conn->next_trickle_at = std::max(now, ready) + kTrickleIntervalMicros;
     conn->close_after_write = true;
   } else {
     conn->trickle_step = 0;
     conn->next_trickle_at = 0;
-    conn->out_eligible = conn->out.size();
   }
 
   conn->state = ConnState::kWriting;
@@ -566,9 +573,7 @@ void HttpServer::QueueCanned(ServerConnection* conn, int status_code,
   response.headers.Set("Connection", "close");
   response.body = std::string(body);
 
-  conn->out = response.Serialize();
-  conn->out_pos = 0;
-  conn->out_eligible = conn->out.size();
+  conn->SetOutput(response.Serialize());
   conn->close_after_write = true;
   conn->linger_after_write = true;
   conn->counts_completed = counts_completed;
@@ -589,10 +594,17 @@ void HttpServer::FlushWrite(ServerConnection* conn, int64_t now) {
     conn->write_ready_at = 0;
     conn->write_progress_at = now;
   }
+  const size_t head_size = conn->out_head.size();
   while (conn->out_pos < conn->out_eligible) {
-    Result<size_t> n = conn->socket.WriteSome(
-        std::string_view(conn->out)
-            .substr(conn->out_pos, conn->out_eligible - conn->out_pos));
+    // The unsent rest of the head, then the eligible rest of the body
+    // (only a trickle holds bytes back, and it never cuts the head).
+    std::string_view head =
+        std::string_view(conn->out_head).substr(
+            std::min(conn->out_pos, head_size));
+    size_t body_pos = std::max(conn->out_pos, head_size) - head_size;
+    std::string_view body = conn->out_body.substr(
+        body_pos, conn->out_eligible - head_size - body_pos);
+    Result<size_t> n = conn->socket.WriteSome(head, body);
     if (!n.ok()) {
       if (n.status().IsTimeout()) {
         // Send buffer full: backpressure. Wait for EPOLLOUT, bounded by
@@ -615,7 +627,7 @@ void HttpServer::FlushWrite(ServerConnection* conn, int64_t now) {
   if (conn->write_interest) {
     UpdateInterest(conn, conn->read_interest, false);
   }
-  if (conn->out_pos < conn->out.size()) {
+  if (conn->out_pos < conn->out_size()) {
     ArmHint(conn->next_trickle_at);  // trickle continues on the timer
     return;
   }
@@ -639,9 +651,7 @@ void HttpServer::FinishResponse(ServerConnection* conn, int64_t now) {
   }
   // Keep-alive: recycle for the next request.
   conn->state = ConnState::kReading;
-  conn->out.clear();
-  conn->out_pos = 0;
-  conn->out_eligible = 0;
+  conn->SetOutput(std::string());  // drops the body slice's reference
   conn->trickle_step = 0;
   conn->next_trickle_at = 0;
   conn->write_ready_at = 0;
@@ -703,10 +713,10 @@ void HttpServer::SweepTimers(int64_t now) {
           break;
         }
         if (conn->trickle_step > 0 && conn->out_pos == conn->out_eligible &&
-            conn->out_eligible < conn->out.size() &&
+            conn->out_eligible < conn->out_size() &&
             now >= conn->next_trickle_at) {
           conn->out_eligible = std::min(
-              conn->out.size(), conn->out_eligible + conn->trickle_step);
+              conn->out_size(), conn->out_eligible + conn->trickle_step);
           conn->next_trickle_at = now + kTrickleIntervalMicros;
           FlushWrite(conn, now);
           break;

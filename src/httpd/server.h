@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -153,11 +154,15 @@ class HttpServer {
   }
 
  private:
-  /// A worker-built response travelling back to the reactor thread.
+  /// A worker-built response travelling back to the reactor thread: the
+  /// serialized head and a refcounted body slice (a view into a stored
+  /// object, or into an owned string), which the reactor gather-writes
+  /// without ever joining them.
   struct Completion {
     uint64_t conn_id = 0;
-    std::string wire;
-    size_t body_size = 0;
+    std::string head;
+    std::shared_ptr<const void> body_owner;
+    std::string_view body;
     bool keep_alive = true;
     netsim::FaultAction fault = netsim::FaultAction::kNone;
     int64_t body_rate = 0;

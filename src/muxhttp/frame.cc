@@ -317,18 +317,25 @@ Result<std::optional<MuxStreamAssembler::Event>> MuxStreamAssembler::OnFrame(
     return Status::ProtocolError("mux DATA before HEADERS on stream " +
                                  std::to_string(frame.stream_id));
   }
-  it->second.body.append(frame.payload);
-  uint64_t bound = it->second.declared_length.value_or(kMaxMuxPayload);
-  if (it->second.body.size() > bound) {
+  StreamState& stream = it->second;
+  // Size the body once from the declared length (bounded like a frame
+  // payload) instead of doubling it as DATA frames arrive.
+  if (stream.body.empty() && stream.declared_length.has_value() &&
+      *stream.declared_length <= kMaxMuxPayload) {
+    stream.body.reserve(static_cast<size_t>(*stream.declared_length));
+  }
+  stream.body.append(frame.payload);
+  uint64_t bound = stream.declared_length.value_or(kMaxMuxPayload);
+  if (stream.body.size() > bound) {
     return std::optional<Event>(FailStream(
         frame.stream_id,
         Status::ProtocolError(
             "mux stream body exceeds declared length (" +
-            std::to_string(it->second.body.size()) + " > " +
+            std::to_string(stream.body.size()) + " > " +
             std::to_string(bound) + ")")));
   }
   if (frame.end_stream()) {
-    StreamState state = std::move(it->second);
+    StreamState state = std::move(stream);
     return std::optional<Event>(
         FinishStream(frame.stream_id, std::move(state)));
   }

@@ -218,9 +218,11 @@ void MuxServer::HandleConnection(net::TcpSocket socket) {
           break;
       }
       response.headers.Set("Server", "davix-muxhttp/2.0");
-      std::string head = response.SerializeHead(response.body.size());
+      // Body() is the handler's slice of the stored object when it
+      // served one: DATA frames are cut straight from the store's bytes.
+      std::string head = response.SerializeHead(response.Body().size());
       std::vector<MuxFrame> frames =
-          FrameMessage(stream_id, std::move(head), response.body,
+          FrameMessage(stream_id, std::move(head), response.Body(),
                        config_.data_chunk_bytes);
       if (fault.action == netsim::FaultAction::kTruncateBody &&
           frames.size() > 1) {

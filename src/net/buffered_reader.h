@@ -2,6 +2,7 @@
 #define DAVIX_NET_BUFFERED_READER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/status.h"
@@ -18,7 +19,9 @@ class BufferedReader {
   /// `source` must outlive this reader. `timeout_micros` applies to each
   /// underlying read (0 = wait forever).
   explicit BufferedReader(ByteSource* source, int64_t timeout_micros = 0)
-      : socket_(source), timeout_micros_(timeout_micros) {}
+      : socket_(source),
+        timeout_micros_(timeout_micros),
+        buffer_(new char[kBufferBytes]) {}
 
   BufferedReader(const BufferedReader&) = delete;
   BufferedReader& operator=(const BufferedReader&) = delete;
@@ -32,11 +35,26 @@ class BufferedReader {
   /// kConnectionReset on premature EOF.
   Status ReadExact(std::string* out, size_t len);
 
+  /// Most memory reserved up front from a declared body length, by
+  /// ReadBody and by the server's request assembler alike. Longer bodies
+  /// grow as their bytes arrive, so a peer that declares a huge length
+  /// and goes quiet costs at most this much address space.
+  static constexpr size_t kMaxBodyReserveBytes = 64ull * 1024 * 1024;
+
+  /// ReadExact for large payloads: copies only the already-buffered
+  /// prefix, then reads the rest from the source straight into `out`,
+  /// which is reserved once for min(`len`, kMaxBodyReserveBytes) more
+  /// bytes and grows past that only as bytes arrive, so a peer declaring
+  /// a huge length cannot make the reader commit memory it never sends.
+  /// On failure `out` keeps the bytes received so far; kConnectionReset
+  /// on premature EOF, kTimeout when a read or the deadline expires.
+  Status ReadBody(std::string* out, uint64_t len);
+
   /// Reads until EOF, appending to `out`.
   Status ReadToEof(std::string* out);
 
   /// True when buffered bytes are available (no syscall).
-  bool HasBuffered() const { return pos_ < buffer_.size(); }
+  bool HasBuffered() const { return begin_ < end_; }
 
   /// Per-underlying-read timeout (0 = wait forever). The session pool
   /// re-applies this on every acquire so a recycled connection never
@@ -59,14 +77,27 @@ class BufferedReader {
   uint64_t bytes_consumed() const { return bytes_consumed_; }
 
  private:
-  /// Refills the internal buffer; returns number of new bytes (0 on EOF).
+  static constexpr size_t kBufferBytes = 64 * 1024;
+
+  /// One read from the source into `dst`, waiting at most the per-read
+  /// timeout clipped to the deadline; kTimeout once the deadline passed.
+  Result<size_t> ReadSource(char* dst, size_t len);
+
+  /// Refills the drained internal buffer; returns the number of new
+  /// bytes (0 on EOF). Touches only the bytes the source returned.
   Result<size_t> Fill();
+
+  /// Moves up to `len` buffered bytes to the end of `out`.
+  size_t TakeBuffered(std::string* out, size_t len);
 
   ByteSource* socket_;
   int64_t timeout_micros_;
   int64_t deadline_micros_ = 0;
-  std::string buffer_;
-  size_t pos_ = 0;
+  /// Fixed-capacity refill buffer, never zero-filled; [begin_, end_)
+  /// holds the unconsumed bytes.
+  std::unique_ptr<char[]> buffer_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
   uint64_t bytes_consumed_ = 0;
 };
 

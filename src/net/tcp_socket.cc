@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -163,11 +164,22 @@ Result<size_t> TcpSocket::ReadNonBlocking(char* buf, size_t len) {
   }
 }
 
-Result<size_t> TcpSocket::WriteSome(std::string_view data) {
+Result<size_t> TcpSocket::WriteSome(std::string_view head,
+                                    std::string_view body) {
   if (!IsOpen()) return Status::ConnectionReset("write on closed socket");
+  iovec iov[2];
+  size_t count = 0;
+  for (std::string_view part : {head, body}) {
+    if (part.empty()) continue;
+    iov[count].iov_base = const_cast<char*>(part.data());
+    iov[count].iov_len = part.size();
+    ++count;
+  }
+  msghdr msg = {};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
   while (true) {
-    ssize_t n =
-        ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n >= 0) return static_cast<size_t>(n);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -176,7 +188,7 @@ Result<size_t> TcpSocket::WriteSome(std::string_view data) {
     if (errno == EPIPE || errno == ECONNRESET) {
       return Status::ConnectionReset("peer closed during write");
     }
-    return ErrnoStatus("send", errno);
+    return ErrnoStatus("sendmsg", errno);
   }
 }
 

@@ -50,10 +50,11 @@ class TcpSocket : public ByteSource {
   /// when the socket has no bytes ready. Never polls.
   Result<size_t> ReadNonBlocking(char* buf, size_t len);
 
-  /// Non-blocking write: writes as much as the socket accepts and
-  /// returns the count, or kTimeout ("would block") when the send
-  /// buffer is full. Never polls.
-  Result<size_t> WriteSome(std::string_view data);
+  /// Non-blocking gather write of `head` then `body` (one sendmsg, so a
+  /// response head and its payload slice leave without being joined):
+  /// writes as much as the socket accepts and returns the count, or
+  /// kTimeout ("would block") when the send buffer is full. Never polls.
+  Result<size_t> WriteSome(std::string_view head, std::string_view body);
 
   /// Disables Nagle's algorithm. The paper (§2.2) notes HTTP pipelining
   /// interacts badly with Nagle; both our client and server disable it.
