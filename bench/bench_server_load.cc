@@ -600,9 +600,9 @@ int main(int argc, char** argv) {
                     }
                   });
       double mux_seconds = mux_timer.ElapsedSeconds();
-      const muxhttp::MuxServerStats& mux_stats = (*mux_started)->stats();
-      uint64_t mux_conns = mux_stats.connections_accepted.load();
-      uint64_t mux_handled = mux_stats.requests_handled.load();
+      const httpd::ServerStats& mux_core = (*mux_started)->stats();
+      uint64_t mux_conns = mux_core.connections_accepted.load();
+      uint64_t mux_handled = mux_core.requests_handled.load();
       uint64_t expected =
           static_cast<uint64_t>(mux_threads) * mux_requests_per_thread;
 
@@ -625,7 +625,8 @@ int main(int argc, char** argv) {
           .Int("requests_ok", mux_ok.load())
           .Int("requests_failed", mux_failed.load())
           .Int("connections_accepted", mux_conns)
-          .Int("streams_refused", mux_stats.streams_refused.load())
+          .Int("streams_refused",
+               (*mux_started)->mux_stats().streams_refused.load())
           .Num("req_per_s", mux_seconds > 0
                                 ? static_cast<double>(mux_ok.load()) /
                                       mux_seconds

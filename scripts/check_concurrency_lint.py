@@ -4,8 +4,8 @@
 Eight rules, enforced with nothing but the standard library:
 
   1. no raw `std::thread` under src/ outside the allowlisted files that
-     implement the threading substrate itself (ThreadPool) or a
-     documented thread-per-connection / reader-loop design;
+     implement the threading substrate itself (ThreadPool), the server
+     reactor, or a documented client reader-loop design;
   2. no `.detach()` anywhere — every thread is joined by an owner;
   3. no `std::mutex` / `std::lock_guard` / `std::unique_lock` /
      `std::condition_variable` under src/ outside common/mutex.h: all
@@ -21,19 +21,23 @@ Eight rules, enforced with nothing but the standard library:
      SleepBudgeted so they are jittered and capped by the request's
      deadline (docs/RESILIENCE.md) — a flat sleep in a retry loop is a
      synchronized retry storm waiting to happen;
-  6. the httpd server is a single-reactor design (docs/SERVER.md):
-     connection state is touched only from the reactor thread or from
-     worker-pool tasks that communicate through completions, so inside
-     src/httpd/ only server.{h,cc} may even mention std::thread, and
-     server.cc may construct exactly one (the reactor). A second thread
-     in that directory means somebody is sharing ServerConnection
-     across threads again;
-  7. mux frame writes are serialized: in src/muxhttp/ and
-     src/core/mux_transport.{h,cc} a raw `socket->WriteAll(...)` may
+  6. one server threading model (docs/SERVER.md): every server — HTTP,
+     mux and xrootd — is a protocol codec on the single httpd reactor.
+     Connection state is touched only from the reactor thread or from
+     worker-pool tasks that communicate through completions, so in the
+     server code (src/httpd/, src/muxhttp/, src/xrootd/xrd_server.*)
+     only httpd/server.{h,cc} may mention std::thread, server.cc may
+     construct exactly one (the reactor), and nothing else may own a
+     ThreadPool or sleep (SleepForMicros): shaping delays are reactor
+     timers. A thread, pool or sleep anywhere else in server code is a
+     second server core growing back;
+  7. mux frame writes are serialized: in the mux client transport
+     (src/core/mux_transport.{h,cc}) a raw `socket->WriteAll(...)` may
      appear only inside a helper named `*Locked` whose declaration (in
      the same file or its .h/.cc sibling) carries a REQUIRES(...)
      capability annotation.  Frames from concurrent streams interleave
-     on one connection, so an unguarded write tears frames mid-header;
+     on one connection, so an unguarded write tears frames mid-header
+     (the server writes only from its reactor thread, so needs no lock);
   8. one sequential read-ahead window: under src/, only
      core/read_ahead_stream.{h,cc} may declare a class or struct whose
      name contains `ReadAhead`. Every buffered sequential read (DavPosix
@@ -58,12 +62,8 @@ ALLOWED_STD_THREAD = {
     "src/common/thread_pool.cc",
     "src/httpd/server.h",          # the single reactor thread (rule 6)
     "src/httpd/server.cc",
-    "src/muxhttp/mux.h",           # accept + per-connection threads
-    "src/muxhttp/mux.cc",
     "src/core/mux_transport.h",    # mux client demux reader loop
     "src/core/mux_transport.cc",
-    "src/xrootd/xrd_server.h",     # thread-per-connection
-    "src/xrootd/xrd_server.cc",
     "src/xrootd/xrd_client.h",     # client reader loop
     "src/xrootd/xrd_client.cc",
 }
@@ -80,9 +80,13 @@ BARE_SLEEP_RE = re.compile(r"\bSleepForMicros\s*\(")
 # jittered/budgeted pause primitives themselves.
 ALLOWED_CORE_SLEEP = {"src/core/resilience.cc"}
 DISPATCH_RE = re.compile(r"\b(Submit|ParallelFor|ParallelForCancellable)\s*\(")
+# Rule 6: server code, all of which runs on the httpd reactor.
+SERVER_FILES_RE = re.compile(
+    r"^src/(httpd/|muxhttp/|xrootd/xrd_server\.(h|cc)$)")
+REACTOR_FILES = {"src/httpd/server.h", "src/httpd/server.cc"}
+SERVER_BANNED_RE = re.compile(r"\b(ThreadPool|SleepForMicros)\b")
 # Rule 7: files whose socket writes carry interleaved mux frames.
-MUX_WRITE_FILES_RE = re.compile(
-    r"^src/(muxhttp/|core/mux_transport\.(h|cc)$)")
+MUX_WRITE_FILES_RE = re.compile(r"^src/core/mux_transport\.(h|cc)$")
 WRITE_ALL_RE = re.compile(r"\bWriteAll\s*\(")
 # Rule 8: the one home of the sequential read-ahead window.
 READ_AHEAD_CLASS_RE = re.compile(r"\b(?:class|struct)\s+(\w*ReadAhead\w*)")
@@ -349,8 +353,8 @@ def main() -> int:
                      "work on a ThreadPool instead"))
         for lineno, message in check_mutations(path, text):
             problems.append((rel, lineno, message))
-        if rel.startswith("src/httpd/"):
-            if rel in ("src/httpd/server.h", "src/httpd/server.cc"):
+        if SERVER_FILES_RE.match(rel):
+            if rel in REACTOR_FILES:
                 constructions = re.findall(r"std::thread\s*\(", text)
                 if rel.endswith(".cc") and len(constructions) > 1:
                     problems.append(
@@ -362,9 +366,17 @@ def main() -> int:
                 for m in STD_THREAD_RE.finditer(text):
                     problems.append(
                         (rel, line_of(text, m.start()),
-                         "std::thread in src/httpd outside server.{h,cc} — "
-                         "connection state is reactor-owned; use the "
-                         "worker pool + completions instead"))
+                         "std::thread in server code outside "
+                         "httpd/server.{h,cc} — every server is a codec on "
+                         "the one reactor; use its worker pool + "
+                         "completions instead"))
+                for m in SERVER_BANNED_RE.finditer(text):
+                    problems.append(
+                        (rel, line_of(text, m.start()),
+                         f"{m.group(1)} in server code outside "
+                         "httpd/server.{h,cc} — requests run on the "
+                         "reactor's worker pool, and shaping delays are "
+                         "reactor timers, never sleeps"))
         if MUX_WRITE_FILES_RE.match(rel):
             mux_problems, used_names = check_mux_writes(rel, text)
             problems.extend(mux_problems)

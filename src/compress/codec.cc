@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/checksum.h"
 
 namespace davix {
@@ -11,18 +12,6 @@ namespace compress {
 namespace {
 
 constexpr char kMagic[4] = {'D', 'V', 'C', '1'};
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
 
 // ---------------------------------------------------------------- RLE --
 

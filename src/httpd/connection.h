@@ -3,10 +3,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "http/message.h"
 #include "net/tcp_socket.h"
@@ -15,19 +21,118 @@
 namespace davix {
 namespace httpd {
 
-/// Lifecycle of one reactor-owned connection.
-///
-/// kReading accumulates request bytes; kDispatched means the current
-/// request is on the worker pool; kWriting flushes the (shaped) response;
-/// kLingering has nothing left to say — it holds the fd open briefly
-/// after a Connection: close response (so the bytes outrun the RST a
-/// hard close could trigger) or during an injected silent stall.
-enum class ConnState {
-  kReading,
-  kDispatched,
-  kWriting,
-  kLingering,
+/// One unit of response output — an HTTP response, a mux frame or an
+/// xrootd frame: a serialized header, then a body slice kept alive by
+/// `owner`. The reactor gather-writes the two and never interleaves
+/// another segment into one.
+struct Segment {
+  Segment() = default;
+  explicit Segment(std::string head_in,
+                   std::shared_ptr<const void> owner_in = nullptr,
+                   std::string_view body_in = {})
+      : head(std::move(head_in)), owner(std::move(owner_in)), body(body_in) {}
+
+  std::string head;
+  std::shared_ptr<const void> owner;
+  std::string_view body;
+  /// Link time charged before the segment may go out: a codec's pace
+  /// (the slow-body trickle), plus the share of its exchange's bandwidth
+  /// cost the reactor adds.
+  int64_t link_micros = 0;
+
+  size_t size() const { return head.size() + body.size(); }
 };
+
+/// How a connection continues after an exchange's last byte: kept open,
+/// half-closed and held briefly so the bytes outrun a reset (linger), or
+/// closed at once.
+enum class ReplyEnd { kKeepOpen, kLingerClose, kHardClose };
+
+/// The encoded answer to one exchange.
+struct Reply {
+  std::vector<Segment> segments;
+  /// False for wire-level defenses (refusals, size rejections, stream
+  /// resets), which skip the link model to get the peer off cheaply.
+  bool shaped = true;
+  /// Propagation delay on top of the link's own (xrootd login RTTs).
+  int64_t extra_latency_micros = 0;
+  /// Whether the exchange counts in ServerStats' requests_handled /
+  /// responses_completed (not answers to unparsed bytes or stream resets).
+  bool counted = true;
+  ReplyEnd end = ReplyEnd::kKeepOpen;
+};
+
+/// What a codec cut from the front of a connection's input.
+struct Parsed {
+  enum class Kind {
+    kNeedMore,  ///< no complete request buffered yet
+    kRequest,   ///< `serve` runs on the worker pool
+    kReply,     ///< answered from the reactor with `reply`
+    kCancel,    ///< the peer cancelled exchange `stream`
+    kClose,     ///< drop the connection unanswered (after `close_after_micros`)
+  };
+
+  Kind kind = Kind::kNeedMore;
+  /// kNeedMore: a request head is partially buffered (slowloris clock).
+  bool mid_head = false;
+  /// The exchange's key on its connection (mux or xrootd stream id; 0
+  /// for HTTP/1.1).
+  uint64_t stream = 0;
+  /// The request's size on the wire, the link model's upstream input.
+  size_t wire_bytes = 0;
+  std::function<Reply()> serve;
+  Reply reply;
+  /// kClose: an injected silent stall holds the connection this long,
+  /// taking no more requests, before it is dropped.
+  int64_t close_after_micros = 0;
+};
+
+/// The per-protocol half of a server connection, over the protocol-
+/// neutral reactor in HttpServer: it parses requests from the input
+/// buffer, hands back a closure that serves and encodes one on the
+/// worker pool, and encodes refusals. One instance per connection,
+/// called only from the reactor thread; `serve` closures capture what
+/// they need by value, never the codec. Implemented by HTTP/1.1
+/// (httpd/server.cc), mux (muxhttp/mux.cc) and xrootd
+/// (xrootd/xrd_server.cc).
+class ConnectionCodec {
+ public:
+  virtual ~ConnectionCodec() = default;
+
+  /// Exchanges in flight at which the reactor stops reading: 1 for
+  /// HTTP/1.1, whose responses go in request order.
+  virtual size_t max_in_flight() const {
+    return std::numeric_limits<size_t>::max();
+  }
+
+  /// Consumes the next request or protocol event from the front of
+  /// `in`; `in_flight` exchanges are already running.
+  virtual Parsed Parse(std::string* in, size_t in_flight) = 0;
+
+  /// The refusal of a request admission control sheds, or (null) of a
+  /// connection over the connection cap; an empty reply drops it.
+  virtual Reply Refuse(const Parsed* request) = 0;
+};
+
+class HttpServer;
+
+/// Makes the codec of each connection `server` accepts.
+using CodecFactory =
+    std::function<std::unique_ptr<ConnectionCodec>(HttpServer* server)>;
+
+/// Moves `response`'s payload behind a refcounted owner: the stored
+/// object's slice when the handler served one, else the owned string.
+inline void TakeBody(http::HttpResponse* response,
+                     std::shared_ptr<const void>* owner,
+                     std::string_view* body) {
+  *body = response->Body();
+  *owner = std::move(response->body_owner);
+  if (*owner == nullptr && !body->empty()) {
+    auto owned = std::make_shared<const std::string>(std::move(response->body));
+    *body = *owned;
+    *owner = std::move(owned);
+  }
+}
 
 /// Outcome of one incremental parse attempt over a connection's input.
 enum class AssembleOutcome {
@@ -90,66 +195,71 @@ class RequestAssembler {
   size_t pending_head_bytes_ = 0;
 };
 
+/// One exchange's queued output: unsent segments, when its modelled
+/// latency has elapsed, and how the connection continues.
+struct OutStream {
+  uint64_t key = 0;
+  int64_t ready_at = 0;
+  std::deque<Segment> segments;
+  bool counted = true;
+  ReplyEnd end = ReplyEnd::kKeepOpen;
+};
+
 /// Per-connection state owned exclusively by the server's reactor
-/// thread. Worker-pool tasks never touch it — they communicate through
-/// value-type completions the reactor collects — so none of this needs
-/// locking.
+/// thread; worker tasks only hand back completions, so nothing here is
+/// locked. Each completed exchange waits in `queued` until its modelled
+/// latency has elapsed; the connection's virtual link clock then sends
+/// one segment at a time, ready exchanges taking turns (round-robin), so
+/// a large response never holds up a small one for more than a frame.
 struct ServerConnection {
   ServerConnection(uint64_t id_in, net::TcpSocket socket_in,
-                   netsim::LinkProfile link, RequestAssembler::Limits limits)
+                   netsim::LinkProfile link,
+                   std::unique_ptr<ConnectionCodec> codec_in)
       : id(id_in),
         socket(std::move(socket_in)),
         shaper(std::move(link)),
-        assembler(limits) {}
+        codec(std::move(codec_in)) {}
 
   uint64_t id = 0;
   net::TcpSocket socket;
   netsim::ConnectionShaper shaper;
-  RequestAssembler assembler;
-  ConnState state = ConnState::kReading;
+  std::unique_ptr<ConnectionCodec> codec;
 
   /// Input side.
   std::string in_buf;
   bool peer_eof = false;
-  bool head_done = false;
-  bool first_request = true;
-  /// Wire size of the request currently dispatched (shaping input).
-  int64_t request_bytes = 0;
+  /// A request head is partially buffered (header-timeout clock runs).
+  bool mid_head = false;
+  /// Re-entrancy guard: input is being parsed further up the stack.
+  bool parsing = false;
+  /// Whether an exchange already finished here (keep-alive reuse).
+  bool served_one = false;
 
-  /// Output side: the serialized head, then the body — a view into
-  /// memory `out_owner` keeps alive (a stored object's bytes, or an
-  /// owned string) — gather-written as one byte stream of out_size()
-  /// bytes. `out_pos` and `out_eligible` index that stream;
-  /// `out_eligible` trails out_size() only while an injected slow-body
-  /// fault trickles the payload out.
-  std::string out_head;
-  std::shared_ptr<const void> out_owner;
-  std::string_view out_body;
+  /// Exchanges parsed and not yet fully written or dropped.
+  size_t in_flight = 0;
+  /// Exchanges on the worker pool, and those cancelled meanwhile.
+  std::unordered_multiset<uint64_t> dispatched;
+  std::unordered_set<uint64_t> cancelled;
+
+  /// Output: exchanges in turn order, and the one whose front segment is
+  /// due on the link at `out_due` with `out_pos` bytes written.
+  std::deque<OutStream> queued;
+  std::optional<OutStream> current;
+  int64_t out_due = 0;
   size_t out_pos = 0;
-  size_t out_eligible = 0;
-  size_t out_size() const { return out_head.size() + out_body.size(); }
+  /// Virtual instant the link finished the last segment; due times chain
+  /// from it, not from (late, rounded) wakeups, so slack never adds up.
+  int64_t link_free_at = 0;
+  /// A write hit a full send buffer; waiting for EPOLLOUT.
+  bool write_blocked = false;
 
-  /// Replaces the output with `head` then `body` (kept alive by `owner`)
-  /// and rewinds it, every byte eligible.
-  void SetOutput(std::string head, std::shared_ptr<const void> owner = nullptr,
-                 std::string_view body = {}) {
-    out_head = std::move(head);
-    out_owner = std::move(owner);
-    out_body = body;
-    out_pos = 0;
-    out_eligible = out_size();
-  }
-  bool close_after_write = false;
-  /// Half-close and hold after the response instead of a hard close.
-  bool linger_after_write = false;
-  /// Whether finishing the current response counts as completing a
-  /// parsed request (431/413 rejections answer unparsed garbage).
-  bool counts_completed = false;
-  size_t trickle_step = 0;
-  int64_t next_trickle_at = 0;
+  /// No more requests are parsed (a closing reply is queued, or an
+  /// injected stall holds the connection until close_at).
+  bool closing = false;
+  /// Write side shut down; input is discarded until EOF or close_at.
+  bool lingering = false;
 
   /// Timers, absolute µs on the monotonic clock (0 = unarmed).
-  int64_t write_ready_at = 0;
   int64_t last_byte_at = 0;
   int64_t request_started_at = 0;
   int64_t write_progress_at = 0;

@@ -105,12 +105,20 @@ struct ServerStats {
   std::atomic<uint64_t> responses_completed{0};
 };
 
-/// Event-driven HTTP/1.1 server: one epoll reactor thread owns every
-/// socket (non-blocking, netsim-shaped via timers) and a bounded
-/// ThreadPool runs router handlers. Degrades gracefully under overload —
-/// connection cap with accept shedding, admission control with 503 +
-/// Retry-After, request-size limits (431/413), header/idle/write-stall
-/// timeouts, and a drain-deadline Stop() — instead of wedging.
+/// Event-driven server core: one epoll reactor thread owns every socket
+/// (non-blocking, netsim-shaped via timers) and a bounded ThreadPool
+/// serves requests. Degrades gracefully under overload — connection cap
+/// with accept shedding, admission control, request-size limits,
+/// header/idle/write-stall timeouts, and a drain-deadline Stop() —
+/// instead of wedging.
+///
+/// The wire protocol is a ConnectionCodec (httpd/connection.h). Start()
+/// speaks HTTP/1.1 to a Router; StartWithCodec() runs any other codec on
+/// the same machinery, which is how muxhttp::MuxServer and
+/// xrootd::XrdServer are built. Every exchange is shaped the same way:
+/// its latency is a timer that overlaps other exchanges', and its
+/// bandwidth is charged on the connection's virtual link clock, on which
+/// ready exchanges take turns one segment at a time.
 ///
 /// One instance models one storage node of the paper's grid; tests and
 /// benchmarks start several of them on loopback to build multi-replica
@@ -125,6 +133,11 @@ class HttpServer {
   /// Starts listening and serving. The router must outlive the server.
   static Result<std::unique_ptr<HttpServer>> Start(
       ServerConfig config, std::shared_ptr<Router> router);
+
+  /// Starts serving the protocol of the codecs `codecs` makes, one per
+  /// accepted connection. What they reference must outlive the server.
+  static Result<std::unique_ptr<HttpServer>> StartWithCodec(
+      ServerConfig config, CodecFactory codecs);
 
   ~HttpServer();
 
@@ -154,54 +167,53 @@ class HttpServer {
   }
 
  private:
-  /// A worker-built response travelling back to the reactor thread: the
-  /// serialized head and a refcounted body slice (a view into a stored
-  /// object, or into an owned string), which the reactor gather-writes
-  /// without ever joining them.
+  /// A worker-encoded reply travelling back to the reactor thread.
   struct Completion {
     uint64_t conn_id = 0;
-    std::string head;
-    std::shared_ptr<const void> body_owner;
-    std::string_view body;
-    bool keep_alive = true;
-    netsim::FaultAction fault = netsim::FaultAction::kNone;
-    int64_t body_rate = 0;
+    uint64_t stream = 0;
+    size_t request_bytes = 0;
+    Reply reply;
   };
 
-  HttpServer(ServerConfig config, std::shared_ptr<Router> router);
+  explicit HttpServer(ServerConfig config);
 
   void ReactorLoop();
 
   // All methods below run on the reactor thread only.
+  ServerConnection* Find(uint64_t conn_id);
   void BeginDrain(int64_t now);
   void HandleAccepts(int64_t now);
   void HandleConnEvent(const net::Poller::Event& event, int64_t now);
   void ReadInput(ServerConnection* conn, int64_t now);
-  void ProcessInput(ServerConnection* conn, int64_t now);
-  void OnRequest(ServerConnection* conn, http::HttpRequest request,
-                 size_t wire_bytes, int64_t now);
+  void ProcessInput(uint64_t conn_id, int64_t now);
+  /// Whether the connection takes new requests now.
+  bool CanParse(const ServerConnection* conn) const;
+  /// Starts a parsed exchange: answers a kReply at once, hands a
+  /// kRequest to the worker pool (or sheds it).
+  void Dispatch(ServerConnection* conn, Parsed parsed, int64_t now);
+  void Cancel(ServerConnection* conn, uint64_t stream);
   void DrainCompletions(int64_t now);
-  void StartResponse(ServerConnection* conn, Completion completion,
-                     int64_t now);
-  void QueueCanned(ServerConnection* conn, int status_code,
-                   std::string_view body, bool retry_after,
-                   bool counts_completed, int64_t now);
-  void FlushWrite(ServerConnection* conn, int64_t now);
-  void FinishResponse(ServerConnection* conn, int64_t now);
-  void StartLinger(ServerConnection* conn, int64_t close_at, int64_t now);
+  /// Queues an exchange's reply: plans its shaping, then pumps output.
+  void QueueReply(ServerConnection* conn, uint64_t stream, Reply reply,
+                  size_t request_bytes, int64_t now);
+  /// Writes every segment whose due time on the link clock has come.
+  void Pump(ServerConnection* conn, int64_t now);
+  /// An exchange is over: `done` written in full, or (null) dropped.
+  void EndExchange(ServerConnection* conn, const OutStream* done,
+                   int64_t now);
+  void StartLinger(ServerConnection* conn, int64_t now);
   void SweepTimers(int64_t now);
-  void UpdateInterest(ServerConnection* conn, bool readable, bool writable);
+  /// Fires whatever of `conn_id`'s timers are due.
+  void Tick(uint64_t conn_id, int64_t now);
+  /// Syncs epoll interest with the state and arms the next deadline.
+  void Settle(uint64_t conn_id);
   void CloseConn(uint64_t conn_id);
   /// Earliest armed deadline on `conn`, or 0 when none.
   int64_t ConnDeadline(const ServerConnection* conn) const;
   void ArmHint(int64_t deadline);
 
-  bool CheckAuth(const http::HttpRequest& request) const;
-  Completion BuildResponse(uint64_t conn_id, http::HttpRequest request,
-                           netsim::FaultRule fault, bool keep_alive) const;
-
   ServerConfig config_;
-  std::shared_ptr<Router> router_;
+  CodecFactory codecs_;
   net::TcpListener listener_;
   netsim::FaultInjector faults_;
   ServerStats stats_;

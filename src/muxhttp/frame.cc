@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/bytes.h"
 #include "http/parser.h"
 #include "net/byte_source.h"
 
@@ -14,18 +15,6 @@ namespace {
 /// id resurfacing after hundreds of other streams is a peer bug better
 /// surfaced as a connection error than masked forever.
 constexpr size_t kMaxForgottenStreams = 1024;
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
 
 bool KnownFrameType(uint8_t type) {
   return type == static_cast<uint8_t>(MuxFrameType::kHeaders) ||
@@ -58,53 +47,63 @@ Result<http::HttpResponse> ParseResponseHead(std::string head) {
 
 }  // namespace
 
-std::string SerializeMuxFrame(const MuxFrame& frame) {
+std::string EncodeMuxFrameHeader(uint32_t stream_id, MuxFrameType type,
+                                 uint8_t flags, uint32_t length) {
   std::string out;
-  out.reserve(kMuxFrameHeaderSize + frame.payload.size());
-  PutU32(&out, frame.stream_id);
-  out.push_back(static_cast<char>(frame.type));
-  out.push_back(static_cast<char>(frame.flags));
-  PutU32(&out, static_cast<uint32_t>(frame.payload.size()));
-  out.append(frame.payload);
+  out.reserve(kMuxFrameHeaderSize);
+  PutU32(&out, stream_id);
+  out.push_back(static_cast<char>(type));
+  out.push_back(static_cast<char>(flags));
+  PutU32(&out, length);
   return out;
 }
 
-std::string SerializeMuxFrame(uint32_t stream_id, MuxFrameType type,
-                              uint8_t flags, std::string_view payload) {
-  MuxFrame frame;
-  frame.stream_id = stream_id;
-  frame.type = type;
-  frame.flags = flags;
-  frame.payload = std::string(payload);
-  return SerializeMuxFrame(frame);
-}
-
-Result<MuxFrame> ReadMuxFrame(net::BufferedReader* reader) {
-  std::string head;
-  DAVIX_RETURN_IF_ERROR(reader->ReadExact(&head, kMuxFrameHeaderSize));
-  MuxFrame frame;
-  frame.stream_id = GetU32(head.data());
-  uint8_t raw_type = static_cast<uint8_t>(head[4]);
-  frame.flags = static_cast<uint8_t>(head[5]);
-  uint32_t length = GetU32(head.data() + 6);
-  if (frame.stream_id == 0) {
+Result<MuxFrame> DecodeMuxFrameHeader(std::string_view bytes,
+                                      uint32_t* length) {
+  MuxFrame header;
+  header.stream_id = GetU32(bytes.data());
+  uint8_t raw_type = static_cast<uint8_t>(bytes[4]);
+  header.flags = static_cast<uint8_t>(bytes[5]);
+  *length = GetU32(bytes.data() + 6);
+  if (header.stream_id == 0) {
     return Status::ProtocolError("mux frame with stream id 0");
   }
   if (!KnownFrameType(raw_type)) {
     return Status::ProtocolError("unknown mux frame type " +
                                  std::to_string(raw_type));
   }
-  frame.type = static_cast<MuxFrameType>(raw_type);
-  if ((frame.flags & ~kMuxFlagEndStream) != 0) {
+  header.type = static_cast<MuxFrameType>(raw_type);
+  if ((header.flags & ~kMuxFlagEndStream) != 0) {
     return Status::ProtocolError("unknown mux frame flags 0x" +
-                                 std::to_string(frame.flags));
+                                 std::to_string(header.flags));
   }
-  if (length > kMaxMuxPayload) {
+  if (*length > kMaxMuxPayload) {
     // Validated before any payload byte is consumed: an attacker cannot
     // make the reader allocate or read past the declared bound.
     return Status::ProtocolError("mux frame payload too large (" +
-                                 std::to_string(length) + " bytes)");
+                                 std::to_string(*length) + " bytes)");
   }
+  return header;
+}
+
+std::string SerializeMuxFrame(const MuxFrame& frame) {
+  return SerializeMuxFrame(frame.stream_id, frame.type, frame.flags,
+                           frame.payload);
+}
+
+std::string SerializeMuxFrame(uint32_t stream_id, MuxFrameType type,
+                              uint8_t flags, std::string_view payload) {
+  std::string out = EncodeMuxFrameHeader(
+      stream_id, type, flags, static_cast<uint32_t>(payload.size()));
+  out.append(payload);
+  return out;
+}
+
+Result<MuxFrame> ReadMuxFrame(net::BufferedReader* reader) {
+  std::string head;
+  DAVIX_RETURN_IF_ERROR(reader->ReadExact(&head, kMuxFrameHeaderSize));
+  uint32_t length = 0;
+  DAVIX_ASSIGN_OR_RETURN(MuxFrame frame, DecodeMuxFrameHeader(head, &length));
   DAVIX_RETURN_IF_ERROR(reader->ReadExact(&frame.payload, length));
   return frame;
 }

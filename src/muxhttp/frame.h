@@ -52,10 +52,9 @@ namespace muxhttp {
 ///     *connection* error: framing sync is gone, tear it all down.
 constexpr size_t kMuxFrameHeaderSize = 10;
 constexpr uint32_t kMaxMuxPayload = 256 * 1024 * 1024;
-/// Body bytes per DATA frame on the send path. Small enough that a
-/// multi-megabyte response releases the connection's write lock many
-/// times (other streams interleave), large enough to amortise the
-/// 10-byte header.
+/// Body bytes per DATA frame on the send path. Small enough that other
+/// streams' frames can slot into a multi-megabyte response, large
+/// enough to amortise the 10-byte header.
 constexpr size_t kMuxDataChunkBytes = 64 * 1024;
 
 /// Frame kinds on the wire: HEADERS opens a stream and carries the
@@ -87,6 +86,18 @@ struct MuxFrame {
   bool end_stream() const { return (flags & kMuxFlagEndStream) != 0; }
 };
 
+/// Encodes the 10-byte header of a frame whose `length`-byte payload
+/// follows it on the wire.
+std::string EncodeMuxFrameHeader(uint32_t stream_id, MuxFrameType type,
+                                 uint8_t flags, uint32_t length);
+
+/// Decodes the header at the front of `bytes` (≥ kMuxFrameHeaderSize
+/// long) into a frame still without its `*length`-byte payload, for both
+/// the blocking reader and the server's codec. kProtocolError on a zero
+/// stream id, unknown type or flag bits, or a length above kMaxMuxPayload.
+Result<MuxFrame> DecodeMuxFrameHeader(std::string_view bytes,
+                                      uint32_t* length);
+
 /// Serialises one frame (header + payload) for the wire.
 std::string SerializeMuxFrame(const MuxFrame& frame);
 
@@ -94,10 +105,9 @@ std::string SerializeMuxFrame(const MuxFrame& frame);
 std::string SerializeMuxFrame(uint32_t stream_id, MuxFrameType type,
                               uint8_t flags, std::string_view payload);
 
-/// Reads and validates one frame. Fails with kProtocolError on a zero
-/// stream id, unknown type, unknown flag bits, or a length above
-/// kMaxMuxPayload — without consuming the oversized payload (never
-/// over-reads). kConnectionReset on EOF mid-frame.
+/// Reads and validates one frame (see DecodeMuxFrameHeader) — without
+/// consuming an oversized payload (never over-reads). kConnectionReset
+/// on EOF mid-frame.
 Result<MuxFrame> ReadMuxFrame(net::BufferedReader* reader);
 
 /// Builds / parses the RST payload (code byte + message).

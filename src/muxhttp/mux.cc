@@ -1,276 +1,200 @@
 #include "muxhttp/mux.h"
 
-#include <sys/socket.h>
-
-#include <unordered_set>
-
-#include "common/clock.h"
-#include "common/logging.h"
-#include "common/thread_pool.h"
-#include "netsim/shaper.h"
+#include <algorithm>
+#include <utility>
 
 namespace davix {
 namespace muxhttp {
 namespace {
 
-constexpr int64_t kAcceptPollMicros = 50'000;
-constexpr size_t kWorkersPerConnection = 8;
+/// A stream reset, answered from the reactor without shaping.
+httpd::Reply RstReply(uint32_t stream_id, MuxRstCode code,
+                      std::string_view message, bool counted) {
+  httpd::Reply reply;
+  reply.segments.emplace_back(SerializeMuxFrame(
+      stream_id, MuxFrameType::kRst, 0, MakeRstPayload(code, message)));
+  reply.shaped = false;
+  reply.counted = counted;
+  return reply;
+}
 
-/// Per-connection state shared between the reader (the connection
-/// thread) and the response workers. Lives on HandleConnection's stack;
-/// workers.Shutdown() runs before it goes out of scope, so references
-/// captured by worker tasks never dangle.
-///
-/// Thread-safe: yes — `write_mu` serialises socket writes and guards the
-/// broken flag and cancel set; `shaper_mu` guards the shared shaper; the
-/// socket pointer and link profile are immutable per connection.
-struct ConnState {
-  ConnState(net::TcpSocket* socket, const netsim::LinkProfile& link)
-      : socket(socket), shaper(link) {}
+/// Runs on a worker: routes one request and frames the response as a
+/// HEADERS segment plus one DATA segment per chunk, each chunk a slice
+/// of the body (a stored object's bytes when the handler served one).
+httpd::Reply ServeMux(const httpd::Router& router, size_t chunk_bytes,
+                      uint32_t stream_id, const http::HttpRequest& request,
+                      netsim::FaultAction fault, int retry_after_seconds) {
+  http::HttpResponse response;
+  if (fault == netsim::FaultAction::kServerError ||
+      fault == netsim::FaultAction::kRetryAfter) {
+    response.status_code = 503;
+    response.body = "injected fault\n";
+    if (fault == netsim::FaultAction::kRetryAfter) {
+      response.headers.Set("Retry-After", std::to_string(retry_after_seconds));
+    }
+  } else {
+    router.Dispatch(request, &response);
+  }
+  response.headers.Set("Server", "davix-muxhttp/2.0");
+  std::string head = response.SerializeHead(response.Body().size());
+  std::shared_ptr<const void> owner;
+  std::string_view body;
+  httpd::TakeBody(&response, &owner, &body);
 
-  net::TcpSocket* socket;
-  netsim::ConnectionShaper shaper;
-  Mutex shaper_mu;
+  httpd::Reply reply;
+  reply.segments.emplace_back(SerializeMuxFrame(
+      stream_id, MuxFrameType::kHeaders, body.empty() ? kMuxFlagEndStream : 0,
+      head));
+  for (size_t offset = 0; offset < body.size(); offset += chunk_bytes) {
+    size_t n = std::min(chunk_bytes, body.size() - offset);
+    uint8_t flags = offset + n == body.size() ? kMuxFlagEndStream : 0;
+    reply.segments.emplace_back(
+        EncodeMuxFrameHeader(stream_id, MuxFrameType::kData, flags,
+                             static_cast<uint32_t>(n)),
+        owner, body.substr(offset, n));
+  }
+  if (fault == netsim::FaultAction::kTruncateBody &&
+      reply.segments.size() > 1) {
+    // Head plus half the DATA frames, then the connection dies: the
+    // client sees a reset mid-body, never a short "complete" response.
+    reply.segments.resize(1 + (reply.segments.size() - 1) / 2);
+    reply.end = httpd::ReplyEnd::kHardClose;
+  }
+  return reply;
+}
 
-  /// Guards every byte written to the socket, the broken flag, and the
-  /// cancel set (checked under the same lock right before each write so
-  /// a cancel observed between frames suppresses the rest).
-  Mutex write_mu;
-  bool write_broken GUARDED_BY(write_mu) = false;
-  std::unordered_set<uint32_t> cancelled GUARDED_BY(write_mu);
+/// The mux protocol on one connection: frames are cut from the input
+/// buffer and reassembled into requests by the MuxStreamAssembler the
+/// client transport shares.
+class MuxCodec : public httpd::ConnectionCodec {
+ public:
+  MuxCodec(const MuxServerConfig* config,
+           std::shared_ptr<httpd::Router> router, MuxServerStats* stats)
+      : config_(config),
+        router_(std::move(router)),
+        stats_(stats),
+        assembler_(MuxStreamAssembler::Mode::kRequest) {}
 
-  std::atomic<int64_t> active_exchanges{0};
+  httpd::Parsed Parse(std::string* in, size_t in_flight) override {
+    using Kind = httpd::Parsed::Kind;
+    httpd::Parsed parsed;
+    while (true) {
+      if (in->size() < kMuxFrameHeaderSize) {
+        parsed.mid_head = !in->empty();
+        return parsed;
+      }
+      uint32_t length = 0;
+      Result<MuxFrame> decoded = DecodeMuxFrameHeader(*in, &length);
+      if (!decoded.ok()) {
+        parsed.kind = Kind::kClose;  // framing sync lost
+        return parsed;
+      }
+      size_t wire_bytes = kMuxFrameHeaderSize + length;
+      if (in->size() < wire_bytes) return parsed;
+      MuxFrame frame = std::move(*decoded);
+      frame.payload = in->substr(kMuxFrameHeaderSize, length);
+      in->erase(0, wire_bytes);
 
-  /// The only place muxhttp server code touches the socket's send side.
-  Status WriteFrameLocked(const MuxFrame& frame) REQUIRES(write_mu) {
-    if (write_broken) return Status::ConnectionReset("mux write side broken");
-    Status status = socket->WriteAll(SerializeMuxFrame(frame));
-    if (!status.ok()) write_broken = true;
-    return status;
+      // A client RST is a cancel: the reactor drops the stream's unsent
+      // frames, and the assembler any half-received request state.
+      if (frame.type == MuxFrameType::kRst) {
+        Result<MuxRstInfo> rst = ParseMuxRstPayload(frame.payload);
+        parsed.stream = frame.stream_id;
+        (void)assembler_.OnFrame(std::move(frame));
+        if (rst.ok() && rst->code == MuxRstCode::kCancelled) {
+          stats_->streams_cancelled.fetch_add(1, std::memory_order_relaxed);
+          parsed.kind = Kind::kCancel;
+          return parsed;
+        }
+        continue;
+      }
+
+      Result<std::optional<MuxStreamAssembler::Event>> event =
+          assembler_.OnFrame(std::move(frame));
+      if (!event.ok()) {
+        parsed.kind = Kind::kClose;
+        return parsed;
+      }
+      if (!event->has_value()) continue;
+      MuxStreamAssembler::Event& ev = **event;
+      parsed.stream = ev.stream_id;
+      if (ev.stream_error.has_value()) {
+        stats_->streams_reset.fetch_add(1, std::memory_order_relaxed);
+        parsed.kind = Kind::kReply;
+        parsed.reply = RstReply(ev.stream_id, MuxRstCode::kProtocolError,
+                                ev.stream_error->message(), false);
+        return parsed;
+      }
+      if (!ev.request.has_value()) continue;
+      if (in_flight >= config_->max_streams_per_connection) {
+        stats_->streams_refused.fetch_add(1, std::memory_order_relaxed);
+        parsed.kind = Kind::kReply;
+        parsed.reply = RstReply(ev.stream_id, MuxRstCode::kRefusedStream,
+                                "stream limit reached", false);
+        return parsed;
+      }
+
+      netsim::FaultRule fault;
+      if (config_->faults != nullptr) {
+        const std::string& target = ev.request->target;
+        fault = config_->faults->Decide(target.substr(0, target.find('?')));
+      }
+      if (fault.action == netsim::FaultAction::kRefuseConnection ||
+          fault.action == netsim::FaultAction::kStall) {
+        parsed.kind = Kind::kClose;
+        if (fault.action == netsim::FaultAction::kStall) {
+          parsed.close_after_micros = fault.stall_micros;
+        }
+        return parsed;
+      }
+      parsed.kind = Kind::kRequest;
+      parsed.wire_bytes = wire_bytes;
+      parsed.serve = [router = router_, chunk_bytes = config_->data_chunk_bytes,
+                      stream = ev.stream_id,
+                      request = std::move(*ev.request), action = fault.action,
+                      retry_after = fault.retry_after_seconds] {
+        return ServeMux(*router, chunk_bytes, stream, request, action,
+                        retry_after);
+      };
+      return parsed;
+    }
   }
 
-  /// Best-effort RST; write errors just mark the connection broken.
-  void SendRst(uint32_t stream_id, MuxRstCode code, std::string_view message) {
-    MuxFrame rst;
-    rst.stream_id = stream_id;
-    rst.type = MuxFrameType::kRst;
-    rst.payload = MakeRstPayload(code, message);
-    MutexLock lock(write_mu);
-    (void)WriteFrameLocked(rst);
+  httpd::Reply Refuse(const httpd::Parsed* request) override {
+    if (request == nullptr) return httpd::Reply{};  // no stream to reset
+    return RstReply(static_cast<uint32_t>(request->stream),
+                    MuxRstCode::kRefusedStream, "server overloaded", true);
   }
+
+ private:
+  const MuxServerConfig* config_;
+  std::shared_ptr<httpd::Router> router_;
+  MuxServerStats* stats_;
+  MuxStreamAssembler assembler_;
 };
 
 }  // namespace
 
-MuxServer::MuxServer(MuxServerConfig config,
-                     std::shared_ptr<httpd::Router> router)
-    : config_(std::move(config)), router_(std::move(router)) {}
-
 Result<std::unique_ptr<MuxServer>> MuxServer::Start(
     MuxServerConfig config, std::shared_ptr<httpd::Router> router) {
-  std::unique_ptr<MuxServer> server(
-      new MuxServer(std::move(config), std::move(router)));
-  if (server->config_.max_streams_per_connection == 0) {
-    server->config_.max_streams_per_connection = 128;
+  if (config.max_streams_per_connection == 0) {
+    config.max_streams_per_connection = 128;
   }
-  if (server->config_.data_chunk_bytes == 0) {
-    server->config_.data_chunk_bytes = kMuxDataChunkBytes;
-  }
-  DAVIX_ASSIGN_OR_RETURN(server->listener_,
-                         net::TcpListener::Listen(server->config_.port));
-  {
-    MutexLock lock(server->stop_mu_);
-    server->accept_thread_ =
-        std::thread([s = server.get()] { s->AcceptLoop(); });
-  }
+  if (config.data_chunk_bytes == 0) config.data_chunk_bytes = kMuxDataChunkBytes;
+  std::unique_ptr<MuxServer> server(new MuxServer(std::move(config)));
+  httpd::ServerConfig core;
+  core.port = server->config_.port;
+  core.link = server->config_.link;
+  core.idle_timeout_micros = server->config_.idle_timeout_micros;
+  MuxServer* s = server.get();
+  DAVIX_ASSIGN_OR_RETURN(
+      server->core_,
+      httpd::HttpServer::StartWithCodec(
+          std::move(core), [s, router = std::move(router)](httpd::HttpServer*) {
+            return std::make_unique<MuxCodec>(&s->config_, router,
+                                              &s->stats_);
+          }));
   return server;
-}
-
-MuxServer::~MuxServer() { Stop(); }
-
-std::string MuxServer::BaseUrl() const {
-  return "http://127.0.0.1:" + std::to_string(port());
-}
-
-void MuxServer::Stop() {
-  stopping_.store(true, std::memory_order_relaxed);
-  // Same discipline as HttpServer::Stop: stop_mu_ makes concurrent
-  // callers safe — one joins, the rest wait for teardown to finish.
-  MutexLock lock(stop_mu_);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();
-  std::vector<std::thread> threads;
-  {
-    MutexLock conn_lock(conn_mu_);
-    for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-    threads.swap(connection_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void MuxServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    Result<net::TcpSocket> socket = listener_.Accept(kAcceptPollMicros);
-    if (!socket.ok()) {
-      if (socket.status().IsTimeout()) continue;
-      return;
-    }
-    stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    MutexLock lock(conn_mu_);
-    connection_threads_.emplace_back(
-        [this, sock = std::move(*socket)]() mutable {
-          HandleConnection(std::move(sock));
-        });
-  }
-}
-
-void MuxServer::HandleConnection(net::TcpSocket socket) {
-  {
-    MutexLock lock(conn_mu_);
-    active_fds_.insert(socket.fd());
-  }
-  (void)socket.SetNoDelay(true);
-  ConnState conn(&socket, config_.link);
-  net::BufferedReader reader(&socket, config_.idle_timeout_micros);
-  MuxStreamAssembler assembler(MuxStreamAssembler::Mode::kRequest);
-  ThreadPool workers(kWorkersPerConnection);
-
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    Result<MuxFrame> frame = ReadMuxFrame(&reader);
-    if (!frame.ok()) break;
-    int64_t request_bytes =
-        static_cast<int64_t>(kMuxFrameHeaderSize + frame->payload.size());
-
-    // A client RST is a cancel: record it so workers already streaming
-    // the response stop at the next frame boundary, and let the
-    // assembler drop any half-received request state.
-    if (frame->type == MuxFrameType::kRst) {
-      Result<MuxRstInfo> rst = ParseMuxRstPayload(frame->payload);
-      if (rst.ok() && rst->code == MuxRstCode::kCancelled) {
-        MutexLock lock(conn.write_mu);
-        conn.cancelled.insert(frame->stream_id);
-        stats_.streams_cancelled.fetch_add(1, std::memory_order_relaxed);
-      }
-      (void)assembler.OnFrame(std::move(*frame));
-      continue;
-    }
-
-    Result<std::optional<MuxStreamAssembler::Event>> event =
-        assembler.OnFrame(std::move(*frame));
-    if (!event.ok()) break;  // framing sync lost: drop the connection
-    if (!event->has_value()) continue;
-    MuxStreamAssembler::Event& ev = **event;
-    if (ev.stream_error.has_value()) {
-      stats_.streams_reset.fetch_add(1, std::memory_order_relaxed);
-      conn.SendRst(ev.stream_id, MuxRstCode::kProtocolError,
-                   ev.stream_error->message());
-      continue;
-    }
-    if (!ev.request.has_value()) continue;
-
-    if (conn.active_exchanges.load(std::memory_order_relaxed) >=
-        static_cast<int64_t>(config_.max_streams_per_connection)) {
-      stats_.streams_refused.fetch_add(1, std::memory_order_relaxed);
-      conn.SendRst(ev.stream_id, MuxRstCode::kRefusedStream,
-                   "stream limit reached");
-      continue;
-    }
-    stats_.requests_handled.fetch_add(1, std::memory_order_relaxed);
-    conn.active_exchanges.fetch_add(1, std::memory_order_relaxed);
-
-    auto task = [this, &conn, stream_id = ev.stream_id,
-                 request = std::move(*ev.request), request_bytes]() mutable {
-      netsim::FaultRule fault;
-      if (config_.faults != nullptr) {
-        std::string path = request.target.substr(0, request.target.find('?'));
-        fault = config_.faults->Decide(path);
-      }
-      bool drop_connection_after = false;
-      size_t truncate_at_frames = 0;  // 0 = no truncation
-      http::HttpResponse response;
-      switch (fault.action) {
-        case netsim::FaultAction::kRefuseConnection:
-          ::shutdown(conn.socket->fd(), SHUT_RDWR);
-          conn.active_exchanges.fetch_sub(1, std::memory_order_relaxed);
-          return;
-        case netsim::FaultAction::kStall:
-          SleepForMicros(fault.stall_micros);
-          ::shutdown(conn.socket->fd(), SHUT_RDWR);
-          conn.active_exchanges.fetch_sub(1, std::memory_order_relaxed);
-          return;
-        case netsim::FaultAction::kServerError:
-        case netsim::FaultAction::kRetryAfter:
-          response.status_code = 503;
-          response.body = "injected fault\n";
-          if (fault.action == netsim::FaultAction::kRetryAfter) {
-            response.headers.Set(
-                "Retry-After", std::to_string(fault.retry_after_seconds));
-          }
-          break;
-        case netsim::FaultAction::kTruncateBody:
-          router_->Dispatch(request, &response);
-          drop_connection_after = true;
-          break;
-        default:
-          router_->Dispatch(request, &response);
-          break;
-      }
-      response.headers.Set("Server", "davix-muxhttp/2.0");
-      // Body() is the handler's slice of the stored object when it
-      // served one: DATA frames are cut straight from the store's bytes.
-      std::string head = response.SerializeHead(response.Body().size());
-      std::vector<MuxFrame> frames =
-          FrameMessage(stream_id, std::move(head), response.Body(),
-                       config_.data_chunk_bytes);
-      if (fault.action == netsim::FaultAction::kTruncateBody &&
-          frames.size() > 1) {
-        // Head plus half the DATA frames, then the connection dies:
-        // the client sees a reset mid-body, never a short "complete"
-        // response.
-        truncate_at_frames = 1 + (frames.size() - 1) / 2;
-      }
-
-      netsim::ConnectionShaper::ExchangePlan plan;
-      int64_t response_bytes = 0;
-      for (const MuxFrame& f : frames) {
-        response_bytes +=
-            static_cast<int64_t>(kMuxFrameHeaderSize + f.payload.size());
-      }
-      {
-        MutexLock lock(conn.shaper_mu);
-        plan = conn.shaper.PlanExchange(request_bytes, response_bytes);
-      }
-      SleepForMicros(plan.latency_micros);
-      // Bandwidth cost is paid per frame under the write lock: the wire
-      // is serialised, but other streams' frames slot in between ours —
-      // the interleaving the protocol exists for.
-      int64_t per_frame_bandwidth =
-          plan.bandwidth_micros / static_cast<int64_t>(frames.size());
-      size_t sent = 0;
-      for (const MuxFrame& f : frames) {
-        if (truncate_at_frames > 0 && sent >= truncate_at_frames) break;
-        MutexLock lock(conn.write_mu);
-        if (conn.cancelled.count(stream_id) > 0) {
-          conn.cancelled.erase(stream_id);
-          break;
-        }
-        SleepForMicros(per_frame_bandwidth);
-        if (!conn.WriteFrameLocked(f).ok()) break;
-        ++sent;
-      }
-      if (drop_connection_after) ::shutdown(conn.socket->fd(), SHUT_RDWR);
-      conn.active_exchanges.fetch_sub(1, std::memory_order_relaxed);
-    };
-    if (!workers.Submit(std::move(task))) break;
-  }
-  workers.Shutdown();
-  {
-    MutexLock lock(conn_mu_);
-    active_fds_.erase(socket.fd());
-  }
-  socket.Close();
 }
 
 }  // namespace muxhttp

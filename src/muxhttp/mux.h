@@ -4,16 +4,12 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
 #include "httpd/router.h"
+#include "httpd/server.h"
 #include "muxhttp/frame.h"
-#include "net/tcp_socket.h"
 #include "netsim/fault_injector.h"
 #include "netsim/link_profile.h"
 
@@ -29,20 +25,20 @@ struct MuxServerConfig {
   /// with RST kRefusedStream (the client retries on another connection).
   size_t max_streams_per_connection = 128;
   /// Body bytes per DATA frame; 0 = kMuxDataChunkBytes. Small chunks
-  /// make interleaving visible (each chunk releases the write lock).
+  /// make interleaving visible (frames of other streams slot between).
   size_t data_chunk_bytes = 0;
   /// Optional fault injection, evaluated per completed request against
   /// the request target. Supports kRefuseConnection (drop the whole
   /// connection), kServerError / kRetryAfter (503 on the stream),
-  /// kStall (sleep, then drop the connection), kTruncateBody (send the
-  /// head and half the DATA frames, then drop the connection).
+  /// kStall (take no more streams, drop the connection after the
+  /// stall), kTruncateBody (send the head and half the DATA frames, then
+  /// drop the connection).
   std::shared_ptr<netsim::FaultInjector> faults;
 };
 
-/// Monotonic server-side counters (thread-safe).
+/// Mux protocol counters (thread-safe). Connection and request counts
+/// are the reactor's: MuxServer::stats().
 struct MuxServerStats {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> requests_handled{0};
   /// RST kRefusedStream sent: the per-connection stream limit was hit.
   std::atomic<uint64_t> streams_refused{0};
   /// RST kProtocolError sent for per-stream violations.
@@ -51,12 +47,14 @@ struct MuxServerStats {
   std::atomic<uint64_t> streams_cancelled{0};
 };
 
-/// Server side of the framed mux protocol (muxhttp/frame.h): decodes
-/// interleaved request streams, dispatches each completed request to
-/// the same Router type the plain HTTP server uses (so a DavHandler
-/// serves both protocols), and answers out of order — responses are
-/// chunked into DATA frames that interleave across streams, so a large
-/// response never head-of-line blocks a small one.
+/// Server side of the framed mux protocol (muxhttp/frame.h): a codec on
+/// the httpd::HttpServer reactor that decodes interleaved request
+/// streams, dispatches each completed request to the same Router type
+/// the plain HTTP server uses (so a DavHandler serves both protocols),
+/// and answers out of order — responses are cut into DATA frames that
+/// take turns across streams, so a large response never head-of-line
+/// blocks a small one. Shedding, timeouts and lossless drain are the
+/// reactor's.
 ///
 /// Thread-safe: yes — Stop() may be called concurrently from any number
 /// of threads; each returns only once teardown has completed.
@@ -65,37 +63,26 @@ class MuxServer {
   static Result<std::unique_ptr<MuxServer>> Start(
       MuxServerConfig config, std::shared_ptr<httpd::Router> router);
 
-  ~MuxServer();
-
   MuxServer(const MuxServer&) = delete;
   MuxServer& operator=(const MuxServer&) = delete;
 
-  void Stop();
-  uint16_t port() const { return listener_.port(); }
+  void Stop() { core_->Stop(); }
+  uint16_t port() const { return core_->port(); }
   /// Plain http:// URL — the mux protocol is an alternative transport
   /// for the same namespace, selected by RequestParams::transport.
-  std::string BaseUrl() const;
-  MuxServerStats& stats() { return stats_; }
+  std::string BaseUrl() const { return core_->BaseUrl(); }
+  /// Connection, request and overload counters of the reactor.
+  httpd::ServerStats& stats() { return core_->stats(); }
+  MuxServerStats& mux_stats() { return stats_; }
 
  private:
-  MuxServer(MuxServerConfig config, std::shared_ptr<httpd::Router> router);
-
-  void AcceptLoop();
-  void HandleConnection(net::TcpSocket socket);
+  explicit MuxServer(MuxServerConfig config) : config_(std::move(config)) {}
 
   MuxServerConfig config_;
-  std::shared_ptr<httpd::Router> router_;
-  net::TcpListener listener_;
   MuxServerStats stats_;
-
-  std::atomic<bool> stopping_{false};
-  /// Serialises Stop() callers; Start()'s write of accept_thread_ takes
-  /// it purely for the annotation (no Stop() can race construction).
-  Mutex stop_mu_;
-  std::thread accept_thread_ GUARDED_BY(stop_mu_);
-  Mutex conn_mu_;
-  std::vector<std::thread> connection_threads_ GUARDED_BY(conn_mu_);
-  std::set<int> active_fds_ GUARDED_BY(conn_mu_);
+  /// Declared last: destroyed (stopped) first, while the config and
+  /// counters its codecs point at are still alive.
+  std::unique_ptr<httpd::HttpServer> core_;
 };
 
 }  // namespace muxhttp

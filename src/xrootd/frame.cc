@@ -3,44 +3,33 @@
 namespace davix {
 namespace xrootd {
 
-void AppendU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>(value >> (8 * i)));
-  }
+std::string EncodeFrameHeader(const FrameHeader& header,
+                              size_t payload_size) {
+  std::string out;
+  out.reserve(kFrameHeaderSize + payload_size);
+  PutU16(&out, header.stream_id);
+  PutU16(&out, header.opcode);
+  PutU32(&out, static_cast<uint32_t>(payload_size));
+  PutU64(&out, header.arg);
+  return out;
 }
 
-void AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>(value >> (8 * i)));
+Result<FrameHeader> DecodeFrameHeader(std::string_view bytes) {
+  FrameHeader header;
+  header.stream_id = GetU16(bytes.data());
+  header.opcode = GetU16(bytes.data() + 2);
+  header.length = GetU32(bytes.data() + 4);
+  header.arg = GetU64(bytes.data() + 8);
+  if (header.length > kMaxFramePayload) {
+    return Status::ProtocolError("frame payload too large: " +
+                                 std::to_string(header.length));
   }
-}
-
-uint32_t ReadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
+  return header;
 }
 
 std::string SerializeFrame(const FrameHeader& header,
                            std::string_view payload) {
-  std::string out;
-  out.reserve(kFrameHeaderSize + payload.size());
-  out.push_back(static_cast<char>(header.stream_id & 0xFF));
-  out.push_back(static_cast<char>(header.stream_id >> 8));
-  out.push_back(static_cast<char>(header.opcode & 0xFF));
-  out.push_back(static_cast<char>(header.opcode >> 8));
-  AppendU32(&out, static_cast<uint32_t>(payload.size()));
-  AppendU64(&out, header.arg);
+  std::string out = EncodeFrameHeader(header, payload.size());
   out.append(payload);
   return out;
 }
@@ -49,18 +38,7 @@ Result<Frame> ReadFrame(net::BufferedReader* reader) {
   std::string head;
   DAVIX_RETURN_IF_ERROR(reader->ReadExact(&head, kFrameHeaderSize));
   Frame frame;
-  frame.header.stream_id =
-      static_cast<uint16_t>(static_cast<unsigned char>(head[0])) |
-      static_cast<uint16_t>(static_cast<unsigned char>(head[1])) << 8;
-  frame.header.opcode =
-      static_cast<uint16_t>(static_cast<unsigned char>(head[2])) |
-      static_cast<uint16_t>(static_cast<unsigned char>(head[3])) << 8;
-  frame.header.length = ReadU32(head.data() + 4);
-  frame.header.arg = ReadU64(head.data() + 8);
-  if (frame.header.length > kMaxFramePayload) {
-    return Status::ProtocolError("frame payload too large: " +
-                                 std::to_string(frame.header.length));
-  }
+  DAVIX_ASSIGN_OR_RETURN(frame.header, DecodeFrameHeader(head));
   if (frame.header.length > 0) {
     DAVIX_RETURN_IF_ERROR(reader->ReadExact(&frame.payload,
                                             frame.header.length));
@@ -70,8 +48,8 @@ Result<Frame> ReadFrame(net::BufferedReader* reader) {
 
 std::string EncodeReadPayload(uint32_t handle, uint32_t length) {
   std::string out;
-  AppendU32(&out, handle);
-  AppendU32(&out, length);
+  PutU32(&out, handle);
+  PutU32(&out, length);
   return out;
 }
 
@@ -80,17 +58,17 @@ Result<std::pair<uint32_t, uint32_t>> DecodeReadPayload(
   if (payload.size() != 8) {
     return Status::ProtocolError("bad read payload size");
   }
-  return std::make_pair(ReadU32(payload.data()), ReadU32(payload.data() + 4));
+  return std::make_pair(GetU32(payload.data()), GetU32(payload.data() + 4));
 }
 
 std::string EncodeReadVectorPayload(
     uint32_t handle, const std::vector<http::ByteRange>& ranges) {
   std::string out;
-  AppendU32(&out, handle);
-  AppendU32(&out, static_cast<uint32_t>(ranges.size()));
+  PutU32(&out, handle);
+  PutU32(&out, static_cast<uint32_t>(ranges.size()));
   for (const http::ByteRange& r : ranges) {
-    AppendU64(&out, r.offset);
-    AppendU32(&out, static_cast<uint32_t>(r.length));
+    PutU64(&out, r.offset);
+    PutU32(&out, static_cast<uint32_t>(r.length));
   }
   return out;
 }
@@ -100,8 +78,8 @@ DecodeReadVectorPayload(std::string_view payload) {
   if (payload.size() < 8) {
     return Status::ProtocolError("bad readv payload size");
   }
-  uint32_t handle = ReadU32(payload.data());
-  uint32_t count = ReadU32(payload.data() + 4);
+  uint32_t handle = GetU32(payload.data());
+  uint32_t count = GetU32(payload.data() + 4);
   if (payload.size() != 8 + static_cast<size_t>(count) * 12) {
     return Status::ProtocolError("readv payload size mismatch");
   }
@@ -109,7 +87,7 @@ DecodeReadVectorPayload(std::string_view payload) {
   ranges.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     const char* p = payload.data() + 8 + i * 12;
-    ranges.push_back(http::ByteRange{ReadU64(p), ReadU32(p + 8)});
+    ranges.push_back(http::ByteRange{GetU64(p), GetU32(p + 8)});
   }
   return std::make_pair(handle, std::move(ranges));
 }

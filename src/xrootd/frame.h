@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "http/range.h"
 #include "net/buffered_reader.h"
@@ -58,6 +59,16 @@ struct Frame {
   std::string payload;
 };
 
+/// Encodes a header for a payload of `payload_size` bytes (the header's
+/// own `length` is ignored).
+std::string EncodeFrameHeader(const FrameHeader& header, size_t payload_size);
+
+/// Decodes the header at the front of `bytes` (at least kFrameHeaderSize
+/// long); kProtocolError when its length exceeds kMaxFramePayload. The
+/// one decoder behind both the blocking reader (ReadFrame) and the
+/// server's buffer-driven codec.
+Result<FrameHeader> DecodeFrameHeader(std::string_view bytes);
+
 /// Serialises header + payload for the wire.
 std::string SerializeFrame(const FrameHeader& header,
                            std::string_view payload);
@@ -77,12 +88,6 @@ std::string EncodeReadVectorPayload(uint32_t handle,
                                     const std::vector<http::ByteRange>& ranges);
 Result<std::pair<uint32_t, std::vector<http::ByteRange>>>
 DecodeReadVectorPayload(std::string_view payload);
-
-/// Little-endian integer helpers shared by client and server.
-void AppendU32(std::string* out, uint32_t value);
-void AppendU64(std::string* out, uint64_t value);
-uint32_t ReadU32(const char* p);
-uint64_t ReadU64(const char* p);
 
 }  // namespace xrootd
 }  // namespace davix

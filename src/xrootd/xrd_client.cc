@@ -148,7 +148,7 @@ Result<OpenInfo> XrdClient::Open(const std::string& path) {
   }
   OpenInfo info;
   info.handle = static_cast<uint32_t>(handle_arg);
-  info.size = ReadU64(response->data());
+  info.size = GetU64(response->data());
   return info;
 }
 
@@ -158,12 +158,12 @@ Result<uint64_t> XrdClient::StatSize(const std::string& path) {
   if (response->size() != 8) {
     return Status::ProtocolError("bad stat response payload");
   }
-  return ReadU64(response->data());
+  return GetU64(response->data());
 }
 
 Status XrdClient::Close(uint32_t handle) {
   std::string payload;
-  AppendU32(&payload, handle);
+  PutU32(&payload, handle);
   Result<std::string> response =
       Submit(Opcode::kClose, 0, std::move(payload), nullptr).get();
   return response.ok() ? Status::OK() : response.status();
@@ -203,7 +203,7 @@ Result<std::vector<std::string>> DecodeReadVectorResponse(
     if (pos + 4 > payload.size()) {
       return Status::ProtocolError("truncated readv response");
     }
-    uint32_t len = ReadU32(payload.data() + pos);
+    uint32_t len = GetU32(payload.data() + pos);
     pos += 4;
     if (pos + len > payload.size()) {
       return Status::ProtocolError("readv response overruns payload");

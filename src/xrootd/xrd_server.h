@@ -4,16 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
 #include "httpd/object_store.h"
-#include "net/tcp_socket.h"
+#include "httpd/server.h"
 #include "netsim/fault_injector.h"
 #include "netsim/link_profile.h"
 
@@ -32,23 +27,24 @@ struct XrdServerConfig {
   int64_t login_rtts = 2;
 };
 
-/// Monotonic server-side counters (thread-safe).
+/// xrootd protocol counters (thread-safe). Connection and request
+/// counts are the reactor's: XrdServer::stats().
 struct XrdServerStats {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> requests_handled{0};
   std::atomic<uint64_t> read_requests{0};
   std::atomic<uint64_t> readv_requests{0};
   std::atomic<uint64_t> ranges_served{0};
   std::atomic<uint64_t> bytes_served{0};
 };
 
-/// Baseline data server speaking the framed protocol of frame.h.
+/// Baseline data server speaking the framed protocol of frame.h, as a
+/// codec on the httpd::HttpServer reactor.
 ///
-/// Requests from one connection are decoded by a reader loop and executed
-/// by detached worker tasks, so responses can overlap and complete out of
-/// order — the protocol-level multiplexing (no head-of-line blocking)
-/// that §2.2 credits XRootD with. Traffic shaping splits each exchange
-/// into an overlappable latency part and a serialised bandwidth part.
+/// Requests are answered as they complete, in any order — the
+/// protocol-level multiplexing (no head-of-line blocking) that §2.2
+/// credits XRootD with. Login, open, stat and close are answered from
+/// the reactor, which owns the open-file table; reads run on the worker
+/// pool and answer with a frame whose payload is a slice of the stored
+/// object. Shaping, shedding, timeouts and drain are the reactor's.
 ///
 /// Serves objects from the same ObjectStore type as the HTTP server, so
 /// benchmarks can point both protocols at identical content.
@@ -60,40 +56,30 @@ class XrdServer {
   static Result<std::unique_ptr<XrdServer>> Start(
       XrdServerConfig config, std::shared_ptr<httpd::ObjectStore> store);
 
-  ~XrdServer();
-
   XrdServer(const XrdServer&) = delete;
   XrdServer& operator=(const XrdServer&) = delete;
 
-  void Stop();
+  void Stop() { core_->Stop(); }
 
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return core_->port(); }
   /// "root://127.0.0.1:<port>".
-  std::string BaseUrl() const;
+  std::string BaseUrl() const {
+    return "root://127.0.0.1:" + std::to_string(port());
+  }
 
-  XrdServerStats& stats() { return stats_; }
-  netsim::FaultInjector& faults() { return faults_; }
+  /// Connection, request and overload counters of the reactor.
+  httpd::ServerStats& stats() { return core_->stats(); }
+  XrdServerStats& xrd_stats() { return stats_; }
+  netsim::FaultInjector& faults() { return core_->faults(); }
 
  private:
-  XrdServer(XrdServerConfig config, std::shared_ptr<httpd::ObjectStore> store);
-
-  void AcceptLoop();
-  void HandleConnection(net::TcpSocket socket);
+  explicit XrdServer(XrdServerConfig config) : config_(std::move(config)) {}
 
   XrdServerConfig config_;
-  std::shared_ptr<httpd::ObjectStore> store_;
-  net::TcpListener listener_;
-  netsim::FaultInjector faults_;
   XrdServerStats stats_;
-
-  std::atomic<bool> stopping_{false};
-  /// Serialises Stop() callers; Start()'s write of accept_thread_ takes
-  /// it purely for the annotation (no Stop() can race construction).
-  Mutex stop_mu_;
-  std::thread accept_thread_ GUARDED_BY(stop_mu_);
-  Mutex conn_mu_;
-  std::vector<std::thread> connection_threads_ GUARDED_BY(conn_mu_);
-  std::set<int> active_fds_ GUARDED_BY(conn_mu_);
+  /// Declared last: destroyed (stopped) first, while the config and
+  /// counters its codecs point at are still alive.
+  std::unique_ptr<httpd::HttpServer> core_;
 };
 
 }  // namespace xrootd

@@ -361,11 +361,11 @@ TEST_F(MuxTransportTest, DeadlineExpiryMidStreamCancelsAndKeepsConnection) {
   EXPECT_EQ(counters.mux_connections_opened, 1u);
   EXPECT_GE(counters.mux_streams_reset, 1u);
   // The wire-level cancel reaches the server once its handler returns.
-  for (int i = 0; i < 100 && server_->stats().streams_cancelled.load() == 0;
+  for (int i = 0; i < 100 && server_->mux_stats().streams_cancelled.load() == 0;
        ++i) {
     SleepForMicros(10'000);
   }
-  EXPECT_GE(server_->stats().streams_cancelled.load(), 1u);
+  EXPECT_GE(server_->mux_stats().streams_cancelled.load(), 1u);
 }
 
 TEST_F(MuxTransportTest, BreakerFastFailsThroughTheSeam) {

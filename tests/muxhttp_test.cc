@@ -253,7 +253,7 @@ TEST_F(MuxInteropTest, RefusedStreamsAreRetriedToCompletion) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok_count.load(), 4);
-  EXPECT_GE((*tight_server)->stats().streams_refused.load(), 1u);
+  EXPECT_GE((*tight_server)->mux_stats().streams_refused.load(), 1u);
 }
 
 TEST_F(MuxInteropTest, MalformedRequestHeadGetsStreamReset) {
@@ -296,7 +296,7 @@ TEST_F(MuxInteropTest, MalformedRequestHeadGetsStreamReset) {
     EXPECT_EQ(event->response->body, content_);
     break;
   }
-  EXPECT_EQ(server_->stats().streams_reset.load(), 1u);
+  EXPECT_EQ(server_->mux_stats().streams_reset.load(), 1u);
 }
 
 TEST_F(MuxInteropTest, ServerStopFailsPendingCleanly) {

@@ -136,8 +136,39 @@ TEST_F(XrdTest, ReadVectorSingleRoundTrip) {
   EXPECT_EQ(results[3], content_.substr(content_.size() - 5));  // clamped
   // The whole vector consumed exactly one request frame.
   EXPECT_EQ(client_->requests_sent() - before, 1u);
-  EXPECT_EQ(server_->stats().readv_requests.load(), 1u);
-  EXPECT_EQ(server_->stats().ranges_served.load(), 4u);
+  EXPECT_EQ(server_->xrd_stats().readv_requests.load(), 1u);
+  EXPECT_EQ(server_->xrd_stats().ranges_served.load(), 4u);
+}
+
+TEST_F(XrdTest, ReadVectorRangePastEofIsEmpty) {
+  // A range starting past EOF comes back as an empty part, like preadv
+  // (it once threw std::out_of_range inside the server).
+  ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
+  std::vector<http::ByteRange> ranges = {{0, 10}, {content_.size() + 10, 100}};
+  ASSERT_OK_AND_ASSIGN(auto results, client_->ReadVector(info.handle, ranges));
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0], content_.substr(0, 10));
+  EXPECT_TRUE(results[1].empty());
+  // The same connection keeps serving.
+  ASSERT_OK_AND_ASSIGN(std::string data, client_->Read(info.handle, 0, 64));
+  EXPECT_EQ(data, content_.substr(0, 64));
+}
+
+TEST_F(XrdTest, ReadVectorLargerThanAFrameIsBadRequest) {
+  // 257 whole-object ranges of a 1 MiB object would answer more than
+  // one frame may carry: refused up front, not built and then rejected
+  // by the client as a protocol error.
+  store_->Put("/mib", std::string(1 << 20, 'm'));
+  ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/mib"));
+  std::vector<http::ByteRange> ranges(257, http::ByteRange{0, 1 << 20});
+  Result<std::vector<std::string>> results =
+      client_->ReadVector(info.handle, ranges);
+  ASSERT_FALSE(results.ok());
+  EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument)
+      << results.status().ToString();
+  EXPECT_TRUE(client_->IsAlive());
+  ASSERT_OK_AND_ASSIGN(std::string data, client_->Read(info.handle, 0, 16));
+  EXPECT_EQ(data, std::string(16, 'm'));
 }
 
 TEST_F(XrdTest, MultiplexedAsyncReadsCompleteOutOfOrder) {
