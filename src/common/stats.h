@@ -55,8 +55,12 @@ struct IoCounters {
   uint64_t replica_validator_rejects = 0; ///< responses dropped: wrong generation
   uint64_t multisource_chunks = 0; ///< striped chunk range-GETs put on the wire
   uint64_t multisource_cache_chunks = 0;  ///< striped chunks served by the cache
-  uint64_t vector_queries = 0;     ///< multi-range queries issued
-  uint64_t ranges_requested = 0;   ///< individual ranges inside them
+  /// Ranged GETs put on the wire by the vectored read path: one per
+  /// batch of a ReadPartialVec dispatch, so a single-range ReadPartial
+  /// counts too. Multi-range requests alone are counted server-side
+  /// (httpd::DavHandlerStats::multirange_requests).
+  uint64_t vector_queries = 0;
+  uint64_t ranges_requested = 0;   ///< wire ranges inside those GETs
   uint64_t cache_hits = 0;         ///< block-cache lookups that served bytes
   uint64_t cache_misses = 0;       ///< block-cache lookups that went to the wire
   uint64_t cache_evictions = 0;    ///< blocks evicted by the cache budget

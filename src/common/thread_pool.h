@@ -56,6 +56,16 @@ class ThreadPool {
     return submitted > executed ? submitted - executed : 0;
   }
 
+  /// Workers with nothing queued for them right now: how many extra
+  /// executors a caller may fan work out to without that work queueing
+  /// behind other tasks. Advisory — a racing Submit can take a worker
+  /// the moment after this is read. A caller running on one of this
+  /// pool's workers counts itself as busy.
+  size_t idle_workers() const {
+    uint64_t busy = backlog();
+    return busy >= num_threads() ? 0 : num_threads() - busy;
+  }
+
  private:
   void WorkerLoop();
 

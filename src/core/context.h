@@ -32,6 +32,8 @@ struct ContextStats {
   std::atomic<uint64_t> replica_validator_rejects{0};
   std::atomic<uint64_t> multisource_chunks{0};
   std::atomic<uint64_t> multisource_cache_chunks{0};
+  /// Vectored-read wire batches (ranged GETs, single-range ones
+  /// included) and the wire ranges inside them; see IoCounters.
   std::atomic<uint64_t> vector_queries{0};
   std::atomic<uint64_t> ranges_requested{0};
 };

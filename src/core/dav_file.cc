@@ -462,27 +462,37 @@ Result<std::vector<std::string>> DavFile::ReadPartialVecAt(
     scatter_slots = &net_results;
   }
 
-  size_t parallelism = params.max_parallel_range_requests;
-  if (parallelism == 0) {
-    parallelism = context_->pool().config().max_idle_per_host;
-  }
-  parallelism = std::max<size_t>(1, std::min(parallelism, batches.size()));
+  size_t width = params.max_parallel_range_requests;
+  if (width == 0) width = context_->pool().config().max_idle_per_host;
+  width = std::max<size_t>(1, std::min(width, batches.size()));
 
   // Single-batch (or serial) dispatches stay on the calling thread and
   // never start the dispatcher; multi-batch dispatches run on the shared
   // per-Context pool instead of spawning threads per call.
-  ThreadPool* dispatcher =
-      batches.size() > 1 && parallelism > 1 ? &context_->dispatcher() : nullptr;
+  ThreadPool* dispatcher = width > 1 ? &context_->dispatcher() : nullptr;
+  // Dispatch width: the caller plus the dispatcher workers free right
+  // now. A batch beyond it would wait for an executor and then cost one
+  // more round trip on a connection that could have carried it in the
+  // same request, so the batches are merged down to the width. Advisory:
+  // losing a race on it only costs time.
+  if (dispatcher != nullptr) {
+    width = std::min(width, 1 + dispatcher->idle_workers());
+    if (width == 1) dispatcher = nullptr;
+  }
+  if (width < batches.size()) {
+    batches = MergeBatches(std::move(batches), width,
+                           params.max_ranges_per_request);
+  }
 
   VecDispatchState state;
   state.cache = cache;
   state.cache_key = &cache_key;
   state.replica_set = set;
   ParallelForCancellable(
-      dispatcher, batches.size(), parallelism, [&](size_t batch_index) {
+      dispatcher, batches.size(), width, [&](size_t batch_index) {
         Status status =
             set != nullptr
-                ? FetchVecBatchMultiSource(batch_index, parallelism,
+                ? FetchVecBatchMultiSource(batch_index, width,
                                            batches[batch_index], params,
                                            wire_view, &state, scatter_slots)
                 : FetchVecBatch(replica, batches[batch_index], params,

@@ -89,8 +89,9 @@ class DavFile {
   ///
   /// When coalescing yields more than one batch, the batches are
   /// dispatched concurrently — each drawing its own pooled session —
-  /// bounded by RequestParams::max_parallel_range_requests, with
-  /// first-error cancellation. Payload bytes are scattered zero-copy
+  /// bounded by RequestParams::max_parallel_range_requests and by the
+  /// dispatcher workers free at the time (batches beyond that width are
+  /// merged into fewer requests), with first-error cancellation. Payload bytes are scattered zero-copy
   /// from the response buffers into preallocated result slots.
   ///
   /// Falls back transparently when the server answers a multi-range GET

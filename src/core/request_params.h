@@ -148,18 +148,26 @@ struct RequestParams {
   /// wire range (data-sieving: read the gap, discard it).
   uint64_t vector_gap_bytes = 4096;
   /// Multi-range batches dispatched concurrently, each on its own pooled
-  /// session (the parallel vectored dispatcher). 1 restores the serial
-  /// one-connection behaviour; 0 = auto, bounded by the context pool's
-  /// SessionPoolConfig::max_idle_per_host so the connection burst can be
-  /// parked and recycled afterwards instead of being torn down.
+  /// session (the parallel vectored dispatcher). 0 = auto, bounded by the
+  /// context pool's SessionPoolConfig::max_idle_per_host so the
+  /// connection burst can be parked and recycled afterwards instead of
+  /// being torn down. The dispatch width is min(this, 1 + idle
+  /// dispatcher workers): when there are more batches than the width,
+  /// their wire ranges are re-batched into at most width requests (each
+  /// still <= max_ranges_per_request ranges), so no batch queues behind
+  /// another on one executor. 1 sends the read as few requests as the
+  /// range cap allows, one after another on one connection.
   size_t max_parallel_range_requests = 0;
   /// Multi-stream chunking for vectored reads (the §2.4 multi-stream idea
   /// applied to the §2.3 vector path): when > 0, coalesced wire ranges
   /// larger than this are re-split at user-range boundaries and batches
   /// are capped at roughly this many bytes, so one large contiguous read
   /// fans out across parallel sessions instead of being throughput-bound
-  /// by a single connection's congestion window. 0 (default) keeps the
-  /// classic one-wire-range-per-contiguous-run behaviour.
+  /// by a single connection's congestion window. This is the finest
+  /// split: it is used only as far as the dispatch width (see
+  /// max_parallel_range_requests) has executors free to run the pieces;
+  /// beyond that the pieces merge back into fewer requests. 0 (default)
+  /// keeps the classic one-wire-range-per-contiguous-run behaviour.
   uint64_t vector_parallel_chunk_bytes = 0;
 
   // --- §2.4: metalink --------------------------------------------------

@@ -107,6 +107,38 @@ std::vector<std::vector<CoalescedRange>> SplitBatches(
   return batches;
 }
 
+std::vector<std::vector<CoalescedRange>> MergeBatches(
+    std::vector<std::vector<CoalescedRange>> batches, size_t width,
+    size_t max_per_batch) {
+  if (width == 0) width = 1;
+  if (max_per_batch == 0) max_per_batch = 1;
+  uint64_t total = 0;
+  for (const auto& batch : batches) {
+    for (const CoalescedRange& wire : batch) total += wire.range.length;
+  }
+  // Each wire range goes to the slot its byte midpoint falls in, with
+  // `width` equal slots over the total: slots never decrease along the
+  // ranges and stay below `width`, so at most `width` batches.
+  const uint64_t slot_bytes =
+      std::max<uint64_t>(1, (total + width - 1) / width);
+  std::vector<std::vector<CoalescedRange>> merged;
+  uint64_t current_slot = 0;
+  uint64_t before = 0;
+  for (auto& batch : batches) {
+    for (CoalescedRange& wire : batch) {
+      uint64_t slot = (before + wire.range.length / 2) / slot_bytes;
+      before += wire.range.length;
+      if (merged.empty() || slot != current_slot ||
+          merged.back().size() >= max_per_batch) {
+        merged.emplace_back();
+        current_slot = slot;
+      }
+      merged.back().push_back(std::move(wire));
+    }
+  }
+  return merged;
+}
+
 Status ScatterWireRange(const CoalescedRange& wire, std::string_view data,
                         const std::vector<http::ByteRange>& requested,
                         std::vector<std::string>* results) {

@@ -57,6 +57,16 @@ std::vector<std::vector<CoalescedRange>> SplitBatches(
     std::vector<CoalescedRange> coalesced, size_t max_per_batch,
     uint64_t max_bytes_per_batch = 0);
 
+/// Re-batches the wire ranges of `batches` (kept in order) into at most
+/// `width` byte-balanced batches, for when only `width` executors can
+/// run a dispatch at once: batches that would queue on one executor go
+/// out as one multi-range request instead of back to back. A batch
+/// still never holds more than `max_per_batch` wire ranges, so more
+/// than `width` batches come back when that cap binds.
+std::vector<std::vector<CoalescedRange>> MergeBatches(
+    std::vector<std::vector<CoalescedRange>> batches, size_t width,
+    size_t max_per_batch);
+
 /// Copies the bytes of one fetched wire range into the user result slots
 /// it covers. `data` must be exactly `wire.range.length` bytes.
 ///

@@ -1,3 +1,5 @@
+#include <future>
+
 #include "common/rng.h"
 #include "core/context.h"
 #include "core/dav_file.h"
@@ -250,6 +252,135 @@ TEST_F(DavFileTest, EmptyVectorIsNoop) {
   ASSERT_OK_AND_ASSIGN(auto results, file.ReadPartialVec({}, params_));
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(context_->SnapshotCounters().requests, 0u);
+}
+
+// --- chunked dispatch width ------------------------------------------------
+
+/// Holds every worker of a dispatcher busy with tasks that block until
+/// Release() (or destruction), so a dispatch sees no idle executor.
+class DispatcherLatch {
+ public:
+  explicit DispatcherLatch(ThreadPool* pool)
+      : released_(release_.get_future().share()) {
+    for (size_t i = 0; i < pool->num_threads(); ++i) {
+      std::shared_future<void> released = released_;
+      EXPECT_TRUE(pool->Submit([released] { released.wait(); }));
+    }
+  }
+  ~DispatcherLatch() { Release(); }
+
+  void Release() {
+    if (!done_) release_.set_value();
+    done_ = true;
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> released_;
+  bool done_ = false;
+};
+
+/// Chunked vectored reads (vector_parallel_chunk_bytes > 0) on a
+/// Context whose 3-thread dispatcher plus the caller can run 4 batches.
+class ChunkedVecTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    server_ = StartStorageServer();
+    Rng rng(7);
+    server_.store->Put("/data.bin", rng.Bytes(256 * 1024));
+    context_ = std::make_unique<Context>(SessionPoolConfig{},
+                                         /*dispatcher_threads=*/3);
+    params_.metalink_mode = MetalinkMode::kDisabled;
+    params_.vector_gap_bytes = 0;
+    params_.max_parallel_range_requests = 4;
+    params_.vector_parallel_chunk_bytes = 4000;
+    params_.max_retries = 0;
+  }
+
+  /// `n` disjoint 1000-byte ranges `stride` bytes apart; with the
+  /// 4000-byte chunk they split into n / 4 batches of 4 ranges.
+  static std::vector<http::ByteRange> Ranges(size_t n, uint64_t stride) {
+    std::vector<http::ByteRange> ranges;
+    for (size_t i = 0; i < n; ++i) ranges.push_back({i * stride, 1000});
+    return ranges;
+  }
+
+  Result<std::vector<std::string>> Read(
+      const std::vector<http::ByteRange>& ranges) {
+    DavFile file = *DavFile::Make(context_.get(), server_.UrlFor("/data.bin"));
+    return file.ReadPartialVec(ranges, params_);
+  }
+
+  void ExpectByteExact(const std::vector<http::ByteRange>& ranges,
+                       const std::vector<std::string>& results) {
+    ASSERT_OK_AND_ASSIGN(auto truth, server_.store->Get("/data.bin"));
+    ASSERT_EQ(results.size(), ranges.size());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      EXPECT_EQ(results[i],
+                truth->data.substr(ranges[i].offset, ranges[i].length))
+          << "range " << i;
+    }
+  }
+
+  TestStorageServer server_;
+  std::unique_ptr<Context> context_;
+  RequestParams params_;
+};
+
+TEST_F(ChunkedVecTest, IdleDispatcherIssuesOneRequestPerBatch) {
+  std::vector<http::ByteRange> ranges = Ranges(16, 10'000);
+  ASSERT_OK_AND_ASSIGN(auto results, Read(ranges));
+  ExpectByteExact(ranges, results);
+  EXPECT_EQ(context_->SnapshotCounters().vector_queries, 4u);
+  EXPECT_EQ(server_.handler->stats().multirange_requests.load(), 4u);
+}
+
+TEST_F(ChunkedVecTest, BusyDispatcherMergesIntoOneRequest) {
+  DispatcherLatch latch(&context_->dispatcher());
+  std::vector<http::ByteRange> ranges = Ranges(16, 10'000);
+  ASSERT_OK_AND_ASSIGN(auto results, Read(ranges));
+  latch.Release();
+  ExpectByteExact(ranges, results);
+  EXPECT_EQ(context_->SnapshotCounters().vector_queries, 1u);
+  EXPECT_EQ(server_.handler->stats().multirange_requests.load(), 1u);
+  EXPECT_EQ(server_.handler->stats().ranges_served.load(), 16u);
+}
+
+TEST_F(ChunkedVecTest, MergedReadKeepsRangeCapPerRequest) {
+  // The server answers 416 to any request over 64 ranges, so the read
+  // succeeds only if the merge honoured max_ranges_per_request.
+  server_.handler->set_max_ranges_per_request(64);
+  DispatcherLatch latch(&context_->dispatcher());
+  std::vector<http::ByteRange> ranges = Ranges(100, 2'500);
+  ASSERT_OK_AND_ASSIGN(auto results, Read(ranges));
+  latch.Release();
+  ExpectByteExact(ranges, results);
+  IoCounters counters = context_->SnapshotCounters();
+  EXPECT_EQ(counters.vector_queries, 2u);
+  EXPECT_EQ(counters.ranges_requested, 100u);
+}
+
+TEST_F(ChunkedVecTest, MergedBatchFirstErrorCancelsTheRest) {
+  server_.server->faults().AddRule(
+      {"/data.bin", netsim::FaultAction::kTruncateBody, 1.0, -1, 0});
+  DispatcherLatch latch(&context_->dispatcher());
+  Result<std::vector<std::string>> result = Read(Ranges(100, 2'500));
+  latch.Release();
+  ASSERT_FALSE(result.ok());
+  // Two merged batches; the failed first one cancels the second.
+  EXPECT_EQ(context_->SnapshotCounters().vector_queries, 1u);
+}
+
+TEST_F(ChunkedVecTest, MergedBatchFullEntityFallback) {
+  server_.handler->set_support_multirange(false);
+  DispatcherLatch latch(&context_->dispatcher());
+  std::vector<http::ByteRange> ranges = Ranges(100, 2'500);
+  ASSERT_OK_AND_ASSIGN(auto results, Read(ranges));
+  latch.Release();
+  ExpectByteExact(ranges, results);
+  // The first merged batch got the whole entity; the second is
+  // scattered from it locally.
+  EXPECT_EQ(context_->SnapshotCounters().requests, 1u);
 }
 
 // Property: random vectored reads equal direct substring extraction,

@@ -4,6 +4,7 @@
 // the client transport's backpressure / deadline / circuit-breaker
 // behaviour through the HttpClient seam.
 #include <atomic>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -304,12 +305,25 @@ class MuxTransportTest : public ::testing::Test {
 TEST_F(MuxTransportTest, StreamLimitBackpressureBlocksUntilSlotFrees) {
   // One connection, one stream slot: a second concurrent exchange must
   // wait for the first to finish instead of opening another socket.
-  router_->Handle(http::Method::kGet, "/slow",
-                  [](const http::HttpRequest&, http::HttpResponse* response) {
-                    SleepForMicros(150'000);
-                    response->status_code = 200;
-                    response->body = "slow";
-                  });
+  // Ordered by signals: /slow holds the only slot from before its
+  // handler runs until it answers, the fast request is issued once the
+  // handler has signalled, and the handler answers only after the fast
+  // request has started waiting for the slot.
+  std::promise<void> slow_running;
+  std::atomic<bool> slow_answered{false};
+  router_->Handle(
+      http::Method::kGet, "/slow",
+      [&](const http::HttpRequest&, http::HttpResponse* response) {
+        slow_running.set_value();
+        Stopwatch waited;
+        while (context_->SnapshotCounters().mux_backpressure_waits == 0 &&
+               waited.ElapsedMicros() < 10'000'000) {
+          SleepForMicros(1'000);
+        }
+        slow_answered.store(true);
+        response->status_code = 200;
+        response->body = "slow";
+      });
   core::RequestParams params = params_;
   params.mux_max_connections_per_host = 1;
   params.mux_max_streams_per_connection = 1;
@@ -319,15 +333,15 @@ TEST_F(MuxTransportTest, StreamLimitBackpressureBlocksUntilSlotFrees) {
     auto slow = client.Execute(UrlFor("/slow"), http::Method::kGet, params);
     EXPECT_TRUE(slow.ok()) << slow.status().ToString();
   });
-  SleepForMicros(40'000);  // let /slow claim the only slot
+  slow_running.get_future().wait();
 
-  Stopwatch stopwatch;
   auto fast = client.Execute(UrlFor("/obj"), http::Method::kGet, params);
+  // The fast request reached the server only after the slot freed.
+  EXPECT_TRUE(slow_answered.load());
   slow_thread.join();
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
   EXPECT_EQ(fast->response.body, content_);
   // It had to wait for the slot, and never opened a second connection.
-  EXPECT_GT(stopwatch.ElapsedMicros(), 50'000);
   IoCounters counters = context_->SnapshotCounters();
   EXPECT_GE(counters.mux_backpressure_waits, 1u);
   EXPECT_EQ(counters.mux_connections_opened, 1u);

@@ -532,6 +532,117 @@ TEST(DavixAsyncFaultTest, ByteExactVersusSyncUnderServerFaults) {
   EXPECT_GT(async_report.io.async_prefetches, 0u);
 }
 
+// ----------------------------- davix async on a saturated dispatcher
+
+TEST(DavixAsyncWidthTest, OneRequestPerClusterWhenThreadsEqualDepth) {
+  // The dispatcher has exactly as many threads as the pipeline is deep,
+  // so every prefetch occupies a worker and none is left to run a split
+  // batch: each prefetched cluster must go out as one multi-range
+  // request, although its chunking splits it when executors are free.
+  constexpr uint32_t kDepth = 4;
+  TreeSpec spec = SmallSpec();  // 10 rows: clusters 0..4 of 2 rows each
+  std::string tree = BuildTreeFile(spec, 23);
+
+  auto store = std::make_shared<httpd::ObjectStore>();
+  store->Put("/tree.rnt", tree);
+  auto dav = std::make_shared<httpd::DavHandler>(store);
+  auto router = std::make_shared<httpd::Router>();
+  dav->Register(router.get(), "/");
+  // GETs arriving while `hold` is set wait for `release`, so the test
+  // sees every prefetch's request on the wire before any completes.
+  std::atomic<bool> hold{false};
+  std::atomic<uint64_t> held_requests{0};
+  Gate release;
+  Gate latch;  // holds every dispatcher worker until opened
+  router->Handle(http::Method::kGet, "/tree.rnt",
+                 [&](const http::HttpRequest& request,
+                     http::HttpResponse* response) {
+                   if (hold.load()) {
+                     held_requests.fetch_add(1);
+                     release.WaitOpen();
+                   }
+                   dav->Handle(request, response);
+                 });
+  auto server = httpd::HttpServer::Start({}, router);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  core::Context context(core::SessionPoolConfig{}, kDepth);
+
+  core::RequestParams params;
+  params.metalink_mode = core::MetalinkMode::kDisabled;
+  params.vector_gap_bytes = 0;
+  params.vector_parallel_chunk_bytes = 1;  // one batch per basket
+  params.max_parallel_range_requests = kDepth;
+  ASSERT_OK_AND_ASSIGN(
+      auto file, DavixRandomAccessFile::Open(
+                     &context, (*server)->BaseUrl() + "/tree.rnt", params));
+  ASSERT_OK_AND_ASSIGN(TreeReader reader, TreeReader::Open(file.get()));
+  MemoryFile local(tree);
+  ASSERT_OK_AND_ASSIGN(TreeReader truth_reader, TreeReader::Open(&local));
+  TreeCache truth(&truth_reader, {});
+
+  TreeCacheConfig config;
+  config.cluster_rows = 2;
+  config.prefetch_pipeline_clusters = kDepth;
+  config.prefetch_window_bytes = 0;
+  auto read_all = [&](TreeCache* cache) {
+    for (uint64_t row = 0; row < spec.BasketCountPerBranch(); ++row) {
+      for (size_t b = 0; b < spec.branches.size(); ++b) {
+        auto got = cache->GetBasket(b, row);
+        auto want = truth.GetBasket(b, row);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_TRUE(want.ok());
+        EXPECT_EQ(**got, **want) << "branch " << b << " row " << row;
+      }
+    }
+  };
+
+  // Sync job with every worker free: chunking splits each cluster.
+  TreeCacheStats sync_stats;
+  {
+    uint64_t before = context.SnapshotCounters().vector_queries;
+    TreeCache cache(&reader, {}, config);
+    read_all(&cache);
+    sync_stats = cache.stats();
+    EXPECT_GT(context.SnapshotCounters().vector_queries - before,
+              sync_stats.clusters_fetched);
+  }
+
+  // Async job. The latch makes the pipeline's own tasks the only work
+  // once they start: cluster 0 loads synchronously, the top-up queues
+  // clusters 1..4 behind the latch, and only then do they run.
+  config.async_prefetch = true;
+  TreeCache cache(&reader, {}, config);
+  // Destroyed before the cache drains its prefetches: nothing stays
+  // blocked on a gate when a check fails early.
+  struct OpenGates {
+    Gate* a;
+    Gate* b;
+    ~OpenGates() {
+      a->Open();
+      b->Open();
+    }
+  } open_gates{&release, &latch};
+  for (uint32_t i = 0; i < kDepth; ++i) {
+    ASSERT_TRUE(context.dispatcher().Submit([&latch] { latch.WaitOpen(); }));
+  }
+  ASSERT_OK(cache.GetBasket(0, 0).status());
+  hold.store(true);
+  latch.Open();
+  Stopwatch waited;
+  while (held_requests.load() < kDepth &&
+         waited.ElapsedMicros() < 10'000'000) {
+    SleepForMicros(1'000);
+  }
+  EXPECT_EQ(held_requests.load(), kDepth);
+  release.Open();
+  read_all(&cache);
+  // One wire request per prefetched cluster, and the same bytes as the
+  // sync job.
+  EXPECT_EQ(cache.stats().async_prefetches, kDepth);
+  EXPECT_EQ(held_requests.load(), kDepth);
+  EXPECT_EQ(cache.stats().bytes_fetched, sync_stats.bytes_fetched);
+}
+
 // ------------------------------------------------- storage adapter seam
 
 class StorageAdapterTest : public ::testing::Test {

@@ -103,6 +103,80 @@ TEST(SplitBatchesTest, ByteCapTakesAtLeastOneRange) {
   for (const auto& batch : batches) EXPECT_EQ(batch.size(), 1u);
 }
 
+std::vector<std::vector<CoalescedRange>> EqualBatches(size_t n_batches,
+                                                      size_t per_batch,
+                                                      uint64_t length) {
+  std::vector<std::vector<CoalescedRange>> batches(n_batches);
+  uint64_t offset = 0;
+  for (auto& batch : batches) {
+    batch.resize(per_batch);
+    for (CoalescedRange& wire : batch) {
+      wire.range = {offset, length};
+      offset += 2 * length;
+    }
+  }
+  return batches;
+}
+
+TEST(MergeBatchesTest, WidthOneIsOneBatch) {
+  auto merged = MergeBatches(EqualBatches(4, 8, 100), 1, 64);
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].size(), 32u);
+}
+
+TEST(MergeBatchesTest, BalancesBytesOverWidth) {
+  // Six 100-byte ranges over four executors: four batches, none holding
+  // more than two ranges.
+  auto merged = MergeBatches(EqualBatches(6, 1, 100), 4, 64);
+  ASSERT_EQ(merged.size(), 4u);
+  for (const auto& batch : merged) {
+    EXPECT_GE(batch.size(), 1u);
+    EXPECT_LE(batch.size(), 2u);
+  }
+}
+
+TEST(MergeBatchesTest, RangeCapStillBinds) {
+  // 100 ranges merged for one executor still go out as requests of at
+  // most 64 ranges.
+  auto merged = MergeBatches(EqualBatches(25, 4, 1000), 1, 64);
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_EQ(merged[0].size(), 64u);
+  EXPECT_EQ(merged[1].size(), 36u);
+}
+
+TEST(MergeBatchesTest, PropertyOrderKeptWidthRespected) {
+  Rng rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t n_batches = 1 + rng.Below(12);
+    std::vector<std::vector<CoalescedRange>> batches(n_batches);
+    std::vector<ByteRange> flat;
+    uint64_t offset = 0;
+    for (auto& batch : batches) {
+      batch.resize(1 + rng.Below(10));
+      for (CoalescedRange& wire : batch) {
+        wire.range = {offset, 1 + rng.Below(5000)};
+        offset += wire.range.length + 1;
+        flat.push_back(wire.range);
+      }
+    }
+    size_t width = 1 + rng.Below(6);
+    size_t cap = 1 + rng.Below(16);
+    auto merged = MergeBatches(batches, width, cap);
+    std::vector<ByteRange> out;
+    for (const auto& batch : merged) {
+      ASSERT_FALSE(batch.empty());
+      ASSERT_LE(batch.size(), cap);
+      for (const CoalescedRange& wire : batch) out.push_back(wire.range);
+    }
+    ASSERT_EQ(out, flat);  // every wire range once, in order
+    // Each of the `width` byte slots splits once per `cap` ranges.
+    ASSERT_LE(merged.size(), width + flat.size() / cap) << "trial " << trial;
+    if (cap >= flat.size()) {
+      ASSERT_LE(merged.size(), width);
+    }
+  }
+}
+
 TEST(SplitOversizedTest, ZeroChunkBytesPassesThrough) {
   auto wire = CoalesceRanges({{0, 100}, {100, 100}}, 0);
   ASSERT_EQ(wire.size(), 1u);
